@@ -47,12 +47,13 @@ pub struct OdqEngine {
     /// per-channel workloads). Recording costs memory per pass.
     pub record: bool,
     /// Execute with the genuinely sparse executor path
-    /// ([`crate::odq_conv::odq_conv2d_sparse`]): insensitive outputs are
-    /// never computed at full precision, so the work actually performed is
-    /// proportional to the sensitive fraction — what the accelerator does.
-    /// The dense path computes everything and masks afterwards (identical
-    /// outputs; cheaper on CPU via GEMM, and required for precision-loss
-    /// statistics). Ignored while `record` is set.
+    /// ([`crate::odq_conv::odq_conv2d_sparse_planned`]): insensitive
+    /// outputs are never computed at full precision, so the work actually
+    /// performed is proportional to the sensitive fraction — what the
+    /// accelerator does. The dense path computes everything and masks
+    /// afterwards (identical outputs; cheaper on CPU via GEMM). With
+    /// `record` also set, the sparse path records the mask counts but not
+    /// the precision-loss fields (see [`LayerStats::precision_loss_sum`]).
     pub sparse: bool,
     /// Accumulated statistics.
     pub stats: OdqStats,
@@ -152,8 +153,11 @@ impl ConvExecutor for OdqEngine {
         let plan = self.plans.plan_for(ctx.name, ctx.weights, spec);
         let pool = self.plans.pool();
 
-        if self.sparse && !self.record {
+        if self.sparse {
             let r = odq_conv2d_sparse_planned(x, &plan, ctx.bias, &ctx.geom, &cfg, pool);
+            if self.record {
+                self.stats_entry(ctx).record_mask(&r.mask);
+            }
             return r.output;
         }
 
@@ -164,9 +168,7 @@ impl ConvExecutor for OdqEngine {
             let spatial = ctx.geom.out_spatial();
             let co = ctx.geom.out_channels;
             let entry = self.stats_entry(ctx);
-            entry.total_outputs += r.mask.len() as u64;
-            entry.sensitive_outputs += r.mask.sensitive_count() as u64;
-            entry.channel_counts.extend(r.mask.channel_counts());
+            entry.record_mask(&r.mask);
             // Precision loss over reference-sensitive outputs. The mask is
             // thresholded on *pre-bias* predictor estimates, so classify
             // the reference pre-bias too (subtract the channel bias).
@@ -267,6 +269,28 @@ mod tests {
         sparse.sparse = true;
         let ys = m.forward_eval(&data.images, &mut sparse);
         assert!(yd.max_abs_diff(&ys) < 1e-3, "diff {}", yd.max_abs_diff(&ys));
+    }
+
+    #[test]
+    fn recording_sparse_engine_counts_masks_like_dense() {
+        let m = small_model();
+        let data = SynthSpec::cifar10(8).generate(3);
+        let mut dense = OdqEngine::new(0.3);
+        let yd = m.forward_eval(&data.images, &mut dense);
+        let mut sparse = OdqEngine::new(0.3);
+        sparse.sparse = true;
+        let ys = m.forward_eval(&data.images, &mut sparse);
+        assert_eq!(yd.as_slice(), ys.as_slice(), "sparse and dense kernels must agree bit for bit");
+        assert_eq!(dense.stats.layers.len(), sparse.stats.layers.len());
+        for (d, s) in dense.stats.layers.iter().zip(&sparse.stats.layers) {
+            assert_eq!(d.name, s.name);
+            assert_eq!(d.total_outputs, s.total_outputs, "{}", d.name);
+            assert_eq!(d.sensitive_outputs, s.sensitive_outputs, "{}", d.name);
+            assert_eq!(d.channel_counts, s.channel_counts, "{}", d.name);
+            // The sparse kernel never computes the dense reference.
+            assert_eq!(s.reference_sensitive, 0, "{}", s.name);
+            assert_eq!(s.precision_loss_sum, 0.0, "{}", s.name);
+        }
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use odq_tensor::ConvGeom;
 
+use crate::mask::SensitivityMask;
+
 /// Statistics for one conv layer, accumulated over all evaluated images.
 #[derive(Clone, Debug)]
 pub struct LayerStats {
@@ -15,9 +17,12 @@ pub struct LayerStats {
     pub sensitive_outputs: u64,
     /// Sum of |odq − reference| over *reference-sensitive* outputs
     /// (outputs whose exact INT4 magnitude meets the threshold) — the
-    /// paper's per-layer "precision loss" (Sec. 6.1).
+    /// paper's per-layer "precision loss" (Sec. 6.1). Needs the dense
+    /// reference, so only the dense ODQ path records it; it stays 0 under
+    /// the sparse kernel.
     pub precision_loss_sum: f64,
     /// Count of reference-sensitive outputs (denominator for the mean).
+    /// Dense path only, like `precision_loss_sum`.
     pub reference_sensitive: u64,
     /// Sensitive-output counts per (image, output channel), appended per
     /// pass: the accelerator simulator's workload description.
@@ -36,6 +41,14 @@ impl LayerStats {
             reference_sensitive: 0,
             channel_counts: Vec::new(),
         }
+    }
+
+    /// Add one pass's predictor mask: output totals, sensitive count, and
+    /// per-(image, channel) sensitive counts.
+    pub fn record_mask(&mut self, mask: &SensitivityMask) {
+        self.total_outputs += mask.len() as u64;
+        self.sensitive_outputs += mask.sensitive_count() as u64;
+        self.channel_counts.extend(mask.channel_counts());
     }
 
     /// Fraction of outputs predicted sensitive.

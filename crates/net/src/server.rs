@@ -210,6 +210,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_connections: usiz
                 continue;
             }
         };
+        // Responses are small frames: without NODELAY, Nagle holds one
+        // back after a quiet gap until the client's delayed ACK arrives.
+        stream.set_nodelay(true).ok();
         if shared.shutting_down.load(Ordering::SeqCst) {
             // The drain wake-up, or a straggler racing it: refuse.
             let frame = encode_error(&ErrorFrame {

@@ -3,16 +3,26 @@
 //! One thread pulls admitted requests off the bounded submission queue and
 //! groups them by *batch key* — model name, deployment version, and input
 //! shape. The version is part of the key, so a hot swap or canary split
-//! never mixes two weight versions in one forward pass. A group is
-//! flushed to the worker pool when it reaches `max_batch`, when its oldest
-//! member has waited `max_wait`, or when the *earliest member deadline* is
-//! close enough that waiting any longer would risk missing it (a request
-//! whose deadline budget is shorter than the batching window must not sit
-//! out the full window only to expire — it is dispatched early instead).
+//! never mixes two weight versions in one forward pass.
+//!
+//! Dispatch is *work-conserving*: whenever a worker is idle and no batch
+//! is already queued for it, the group whose oldest member has waited
+//! longest is flushed at once. Groups therefore grow only while every worker is
+//! busy — the only time waiting buys batching without idling a worker.
+//! While the pool is saturated a group is flushed when it reaches
+//! `max_batch`, when its oldest member has waited `max_wait`, or when the
+//! *earliest member deadline* is close enough that waiting any longer
+//! would risk missing it (a request whose deadline budget is shorter than
+//! the batching window must not sit out the full window only to expire —
+//! it is dispatched early instead). Workers never wake the batcher: a
+//! group formed while all workers were busy is re-checked at the next
+//! arrival and never waits past its due time.
+//!
 //! On shutdown (submission side disconnects) every remaining admitted
 //! request is flushed, so draining loses nothing.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -104,11 +114,14 @@ fn group_due(group: &[Pending], max_wait: Duration, now: Instant) -> Instant {
     due
 }
 
+/// Run the batcher until the submission side disconnects. `idle` counts
+/// the workers currently blocked waiting for a batch.
 pub(crate) fn run(
     rx: Receiver<Pending>,
     batch_tx: Sender<Batch>,
     cfg: ServeConfig,
     ledger: Arc<Mutex<Ledger>>,
+    idle: Arc<AtomicUsize>,
 ) {
     let mut groups: HashMap<BatchKey, Vec<Pending>> = HashMap::new();
 
@@ -151,6 +164,18 @@ pub(crate) fn run(
             .collect();
         for key in due {
             let items = groups.remove(&key).expect("key just listed");
+            flush(items, &batch_tx, &cfg, &ledger);
+        }
+
+        // Work-conserving dispatch: hand an idle worker the group that
+        // has waited longest rather than leave it idle until max_wait.
+        while idle.load(Ordering::Relaxed) > batch_tx.len() {
+            let Some(key) =
+                groups.iter().min_by_key(|(_, g)| g[0].enqueued).map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            let items = groups.remove(&key).expect("key just found");
             flush(items, &batch_tx, &cfg, &ledger);
         }
     }
@@ -264,7 +289,8 @@ mod tests {
         let (batch_tx, batch_rx) = bounded::<Batch>(4);
         let ledger = Arc::new(Mutex::new(Ledger::default()));
         let b_ledger = Arc::clone(&ledger);
-        let batcher = std::thread::spawn(move || run(rx, batch_tx, cfg, b_ledger));
+        let idle = Arc::new(AtomicUsize::new(0));
+        let batcher = std::thread::spawn(move || run(rx, batch_tx, cfg, b_ledger, idle));
 
         let now = Instant::now();
         // Deadline (300 ms) far below max_wait (5 s): sitting out the
@@ -280,6 +306,41 @@ mod tests {
         );
         assert_eq!(batch.items.len(), 1);
         assert_eq!(lock_ledger(&ledger).rejected_deadline, 0, "dispatched, not expired");
+
+        drop(tx);
+        batcher.join().unwrap();
+    }
+
+    #[test]
+    fn idle_worker_takes_a_forming_batch_and_busy_pool_coalesces() {
+        let cfg = ServeConfig {
+            max_wait: Duration::from_secs(5),
+            max_batch: 8,
+            ..ServeConfig::default()
+        };
+        let (tx, rx) = bounded::<Pending>(4);
+        let (batch_tx, batch_rx) = bounded::<Batch>(4);
+        let ledger = Arc::new(Mutex::new(Ledger::default()));
+        // Held by hand: no worker exists, the test plays the pool.
+        let idle = Arc::new(AtomicUsize::new(0));
+        let b_idle = Arc::clone(&idle);
+        let batcher = std::thread::spawn(move || run(rx, batch_tx, cfg, ledger, b_idle));
+
+        // Every worker busy: the request waits for company.
+        tx.send(pending(Instant::now(), None)).unwrap();
+        assert!(
+            batch_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "a saturated pool must let the group coalesce"
+        );
+
+        // A worker frees up; the next arrival finds it idle and the
+        // forming group, now two strong, is dispatched at once.
+        idle.store(1, Ordering::Relaxed);
+        tx.send(pending(Instant::now(), None)).unwrap();
+        let batch = batch_rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("an idle worker must get the forming batch well before max_wait");
+        assert_eq!(batch.items.len(), 2, "both requests coalesced into one batch");
 
         drop(tx);
         batcher.join().unwrap();

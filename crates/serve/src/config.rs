@@ -21,7 +21,10 @@ pub struct ServeConfig {
     /// Maximum requests coalesced into one batch.
     pub max_batch: usize,
     /// Maximum time the *oldest* request of a forming batch waits for
-    /// co-batching company before the batch is flushed anyway.
+    /// co-batching company before the batch is flushed anyway. A batch
+    /// forms only while every worker is busy: an idle worker is handed
+    /// the oldest forming group at once, so this bounds waiting only
+    /// while the pool is saturated.
     pub max_wait: Duration,
     /// Worker threads. Each owns one long-lived engine per model, so the
     /// ODQ engine's quantized-weight cache amortizes across batches.

@@ -7,11 +7,13 @@
 //!
 //! ```text
 //!   submit() ──► bounded queue ──► micro-batcher ──► worker pool ──► responses
-//!   (admission     (capacity =      (coalesce same     (each worker
-//!    control:       queue_depth,     model+shape up     owns long-lived
-//!    reject when    try_send)        to max_batch or    engines; weight
-//!    full)                           max_wait)          caches amortize)
-//!                                                          │
+//!   (admission     (capacity =      (dispatch at once  (each worker
+//!    control:       queue_depth,     to an idle worker; owns long-lived
+//!    reject when    try_send)        while all busy,    engines; weight
+//!    full)                           coalesce same      caches amortize)
+//!                                    model+shape up to     │
+//!                                    max_batch or          │
+//!                                    max_wait)             │
 //!                                                          ▼
 //!                                                  streaming stats ledger
 //!                                              (log-bucketed latency

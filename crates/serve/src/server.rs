@@ -1,7 +1,7 @@
 //! The server: admission control, versioned routing, hot swap, shutdown.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -106,29 +106,43 @@ impl ServerBuilder {
         // Small buffer: workers pull batches as they free up, and a full
         // channel backpressures the batcher (and through it, admission).
         let (batch_tx, batch_rx) = bounded::<Batch>(cfg.workers.max(1) * 2);
+        // Workers blocked waiting for a batch: the batcher dispatches a
+        // forming group at once while this exceeds the batches queued.
+        // A scheduling hint that publishes no data (batches travel on the
+        // channel), so `Relaxed` suffices; a stale read costs at most one
+        // early or late flush.
+        let idle = Arc::new(AtomicUsize::new(0));
 
         let b_ledger = Arc::clone(&ledger);
         let b_cfg = cfg.clone();
+        let b_idle = Arc::clone(&idle);
         let batcher = std::thread::Builder::new()
             .name("odq-serve-batcher".into())
-            .spawn(move || batcher::run(submit_rx, batch_tx, b_cfg, b_ledger))
+            .spawn(move || batcher::run(submit_rx, batch_tx, b_cfg, b_ledger, b_idle))
             .expect("spawn batcher");
 
-        let workers = (0..cfg.workers.max(1))
+        let n_workers = cfg.workers.max(1);
+        let workers: Vec<JoinHandle<()>> = (0..n_workers)
             .map(|i| {
                 let rx = batch_rx.clone();
                 let ledger = Arc::clone(&ledger);
                 let kind = self.engine.clone();
                 let w_cfg = cfg.clone();
+                let w_idle = Arc::clone(&idle);
                 std::thread::Builder::new()
                     .name(format!("odq-serve-worker-{i}"))
-                    .spawn(move || worker::run(rx, kind, w_cfg, ledger))
+                    .spawn(move || worker::run(rx, kind, w_cfg, ledger, w_idle))
                     .expect("spawn worker")
             })
             .collect();
         // The batcher's sender must be the only one left, or workers
         // would never see a disconnect on shutdown.
         drop(batch_rx);
+        // Return only once every worker waits for work, so the first
+        // requests find the pool idle instead of sitting out max_wait.
+        while idle.load(Ordering::Relaxed) < n_workers && !workers.iter().any(|w| w.is_finished()) {
+            std::thread::yield_now();
+        }
 
         Ok(Server {
             cfg,
@@ -476,8 +490,9 @@ mod tests {
     #[test]
     fn tight_deadline_flushes_early_and_is_served() {
         // Deadline far shorter than the batching window: the batcher must
-        // dispatch early on the member deadline, not wait out max_wait and
-        // then reject the request as expired.
+        // dispatch early, not wait out max_wait and then reject the
+        // request as expired. (Here the idle pool takes it at once; the
+        // batcher's own tests pin the deadline rule with every worker busy.)
         let cfg =
             ServeConfig { max_wait: Duration::from_secs(2), max_batch: 8, ..Default::default() };
         let s = server(cfg);
@@ -491,6 +506,19 @@ mod tests {
         let sum = s.shutdown();
         assert_eq!(sum.completed, 1);
         assert_eq!(sum.rejected_deadline, 0);
+    }
+
+    #[test]
+    fn idle_server_answers_a_lone_request_without_waiting_out_max_wait() {
+        let s = server(ServeConfig { max_wait: Duration::from_secs(2), ..Default::default() });
+        let t0 = std::time::Instant::now();
+        s.submit(InferRequest::new("lenet", input(0))).unwrap().wait().unwrap();
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "an idle worker must take the request at once, answered after {elapsed:?}"
+        );
+        assert_eq!(s.shutdown().batches, 1);
     }
 
     #[test]

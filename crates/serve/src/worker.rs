@@ -28,6 +28,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -63,18 +64,22 @@ enum ShiftEnd {
 /// worker's footprint.
 const ENGINES_PER_MODEL: usize = 2;
 
+/// Serve batches until the batch channel disconnects. While blocked
+/// waiting for a batch the worker counts itself in `idle`, which tells
+/// the batcher it may dispatch a forming group at once.
 pub(crate) fn run(
     rx: Receiver<Batch>,
     kind: EngineKind,
     cfg: ServeConfig,
     ledger: Arc<Mutex<Ledger>>,
+    idle: Arc<AtomicUsize>,
 ) {
     let energy = EnergyModel::default();
     // The ledger label is the same for every batch this worker ever
     // serves: intern it once instead of allocating a String per record.
     let label: Arc<str> = Arc::from(kind.label().as_ref());
     loop {
-        match run_shift(&rx, &kind, &label, &cfg, &ledger, &energy) {
+        match run_shift(&rx, &idle, &kind, &label, &cfg, &ledger, &energy) {
             ShiftEnd::Disconnected => break,
             ShiftEnd::Panicked => lock_ledger(&ledger).worker_restarts += 1,
         }
@@ -83,6 +88,7 @@ pub(crate) fn run(
 
 fn run_shift(
     rx: &Receiver<Batch>,
+    idle: &AtomicUsize,
     kind: &EngineKind,
     label: &Arc<str>,
     cfg: &ServeConfig,
@@ -90,7 +96,11 @@ fn run_shift(
     energy: &EnergyModel,
 ) -> ShiftEnd {
     let mut engines: HashMap<(String, u64), EngineExec> = HashMap::new();
-    while let Ok(batch) = rx.recv() {
+    loop {
+        idle.fetch_add(1, Ordering::Relaxed);
+        let received = rx.recv();
+        idle.fetch_sub(1, Ordering::Relaxed);
+        let Ok(batch) = received else { break };
         // Keep a second handle to every response channel so a panicking
         // batch can still be answered after its `Pending`s unwound away.
         let senders: Vec<_> = batch.items.iter().map(|p| p.resp.clone()).collect();

@@ -300,8 +300,9 @@ proptest! {
 
 #[test]
 fn graceful_drain_answers_every_inflight_request() {
-    // A wide batching window keeps requests parked in the batcher, so
-    // the drain has real in-flight work to answer.
+    // Requests park in the batcher only while both workers are busy; a
+    // wide batching window keeps those parked until the drain, so it has
+    // real in-flight work to answer.
     let cfg = ServeConfig {
         max_wait: Duration::from_millis(150),
         max_batch: 64,

@@ -12,6 +12,9 @@
 //! 3. **Publish-time validation** — a policy naming a conv layer the
 //!    candidate does not have is rejected atomically (no version is
 //!    allocated), as is a policy with out-of-range routes.
+//! 4. **Sparse ODQ routes serve like dense ones** — a policy asking for
+//!    the sparse kernel answers bit-identically to the dense policy and
+//!    reports the same sensitive fraction and per-route cycles.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -94,6 +97,42 @@ fn per_layer_odq_thresholds_serve_bit_identically_to_with_per_layer() {
     assert_eq!(pe.engine_count(), 2, "C1 and C2 cover both distinct routes LeNet exercises");
 
     server.shutdown();
+}
+
+/// Serve `inputs` one at a time under `policy`; return the output bits
+/// and the final summary.
+fn serve_solo(policy: PrecisionPolicy, inputs: usize) -> (Vec<Vec<u32>>, odq::serve::StatsSummary) {
+    let reg = Arc::new(ModelRegistry::new());
+    reg.publish_with_policy("lenet", lenet(3), vec![], Some(policy.clone())).unwrap();
+    let server = Server::builder(ServeConfig { max_batch: 1, workers: 1, ..Default::default() })
+        .engine(EngineKind::Policy(Arc::new(policy)))
+        .registry(reg)
+        .serve("lenet")
+        .start();
+    let outs = (0..inputs)
+        .map(|i| {
+            let r = server.submit(InferRequest::new("lenet", image(i))).unwrap().wait().unwrap();
+            bits(&r.output)
+        })
+        .collect();
+    (outs, server.shutdown())
+}
+
+#[test]
+fn sparse_odq_policy_serves_and_costs_like_the_dense_one() {
+    let route = |sparse| Route::Odq { threshold: 0.3, sparse };
+    let (dense_out, dense) = serve_solo(PrecisionPolicy::uniform(route(false)), 5);
+    let (sparse_out, sparse) = serve_solo(PrecisionPolicy::uniform(route(true)), 5);
+    assert_eq!(sparse_out, dense_out, "the sparse kernel must answer bit-identically");
+
+    let frac = dense.mean_sensitive_fraction.expect("ODQ route reports a sensitive fraction");
+    assert!(frac > 0.0 && frac < 1.0, "threshold 0.3 skips some outputs: {frac}");
+    assert_eq!(sparse.mean_sensitive_fraction, dense.mean_sensitive_fraction);
+    let routes = |s: &odq::serve::StatsSummary| -> Vec<(String, u64, f64)> {
+        s.routes.iter().map(|r| (r.route.clone(), r.layers, r.cycles)).collect()
+    };
+    assert_eq!(routes(&sparse), routes(&dense), "per-route simulated cost must agree");
+    assert!(dense.sim_cycles > 0.0);
 }
 
 /// Policy A: static INT8 everywhere, first conv on ODQ.
