@@ -1,13 +1,13 @@
 //! Microbenchmarks for the compute kernels underlying every experiment:
-//! float/integer GEMM, im2col lowering, quantization, and the planned vs
-//! per-call ODQ convolution drivers.
+//! float/integer GEMM, im2col and pixel-major lowering, quantization, and
+//! the planned vs per-call ODQ convolution.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use odq_core::{odq_conv2d, odq_conv2d_planned, OdqCfg};
 use odq_quant::plan::{PlanSpec, QConvPlan};
 use odq_quant::quantize_activation;
 use odq_tensor::gemm::{gemm_f32, gemm_i16_i32};
-use odq_tensor::im2col::im2col;
+use odq_tensor::im2col::{im2col, im2row_into};
 use odq_tensor::workspace::WorkspacePool;
 use odq_tensor::{ConvGeom, Tensor};
 
@@ -32,6 +32,8 @@ fn bench_im2col(c: &mut Criterion) {
     let g = ConvGeom::new(16, 16, 32, 32, 3, 1, 1);
     let x: Vec<f32> = (0..16 * 32 * 32).map(|i| (i % 100) as f32 / 100.0).collect();
     c.bench_function("im2col 16x32x32 k3", |bch| bch.iter(|| im2col(&x, &g)));
+    let mut rows = vec![0.0f32; g.col_len() * g.out_spatial()];
+    c.bench_function("im2row 16x32x32 k3", |bch| bch.iter(|| im2row_into(&x, &g, &mut rows)));
 }
 
 fn bench_quantize(c: &mut Criterion) {
@@ -47,9 +49,10 @@ fn bench_quantize(c: &mut Criterion) {
     });
 }
 
-/// Per-call ODQ conv (quantize + split weights and lower three times on
-/// every call) against the planned driver (prepacked `QConvPlan`, pooled
-/// scratch, one lowering per image) on one ResNet-style layer.
+/// Per-call ODQ conv (quantizes and splits the weights into a throwaway
+/// plan and also computes the INT4 reference on every call) against the
+/// planned kernel (prepacked `QConvPlan`, pooled scratch, one lowering per
+/// image) on one ResNet-style layer.
 fn bench_conv_plan(c: &mut Criterion) {
     let g = ConvGeom::new(16, 16, 16, 16, 3, 1, 1);
     let n = 4;

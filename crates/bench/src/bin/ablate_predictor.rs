@@ -34,8 +34,7 @@ impl ConvExecutor for Probe {
         let pred = odq_quant::odq_predict(&xp.high, &wp, qw.zero, scale, &ctx.geom);
         // Raw predictor term (paper's Eq. 3 HH only, affine-corrected with
         // the *exact* Σa so only the plane expectations differ).
-        let planes = odq_quant::qconv::qconv2d_planes(&xp, &wp, &ctx.geom);
-        let raw = planes.predictor_codes();
+        let raw = pred.hh.map(|v| v << 4);
         let sa = odq_quant::qconv::receptive_sums(&qx.codes, &ctx.geom);
         let full = odq_quant::qconv::qconv2d(&qx, &qw, &ctx.geom);
 

@@ -3,8 +3,11 @@
 //! reported as images/second.
 //!
 //! Writes `results/bench_conv_plan_<tag>.json`; the committed
-//! `BENCH_conv_plan.json` at the repo root merges a pre-refactor `before`
-//! run with a post-refactor `after` run on the same machine.
+//! `BENCH_conv_plan.json` at the repo root holds medians of interleaved
+//! runs of a change (`after`) and its parent commit (`parent`) on the same
+//! machine, plus the historical pre-refactor `before`. ODQ runs the one
+//! planned kernel with recording off, as serving does apart from its mask
+//! counts.
 //!
 //! Usage: `bench_conv_plan [tag] [batch] [reps]` (defaults: run, 16, 6).
 

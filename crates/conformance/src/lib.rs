@@ -1,10 +1,10 @@
 //! odq-conformance — scalar golden oracle and cross-engine differential
 //! harness.
 //!
-//! The workspace executes every convolution four ways: per-call kernels
+//! The workspace executes every convolution three ways: per-call kernels
 //! (`odq_quant::qconv`, `odq_core::odq_conv`, `odq_drq::drq_conv`),
-//! planned/fused drivers, the genuinely sparse ODQ executor, and the
-//! `odq-serve` worker fleet. Their correctness anchors elsewhere are
+//! planned drivers (among them the ODQ kernel with its sensitive-only
+//! executor), and the `odq-serve` worker fleet. Their correctness anchors elsewhere are
 //! *pairwise* property tests — which cannot see a bug shared by both
 //! sides of a pair. This crate pins all of them to an independent,
 //! deliberately slow scalar reference instead, in the style of

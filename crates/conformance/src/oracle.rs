@@ -4,8 +4,8 @@
 //! transcription of one piece of the quantized-convolution pipeline —
 //! plain nested loops over `(image, filter, output y, output x, channel,
 //! kernel y, kernel x)`, no im2col, no rayon, no GEMM, no fusion. They
-//! exist so the production engines (per-call kernels, planned/fused
-//! drivers, the sparse ODQ executor, the serving fleet) can all be pinned
+//! exist so the production engines (per-call kernels, planned drivers,
+//! the ODQ kernel's sensitive-only executor, the serving fleet) can all be pinned
 //! to one independent reference instead of only to each other.
 //!
 //! Numerical contract (asserted by `tests/conformance.rs`):
@@ -338,7 +338,7 @@ pub struct RefOdqOutput {
 /// split planes, compute `HH` (predictor) and the three cross terms
 /// `HL`, `LH`, `LL` (executor) with naive loops, estimate, threshold,
 /// compose. The composition's f32 expressions transcribe
-/// `odq_core::odq_conv::odq_conv2d_quantized` operation for operation.
+/// `odq_core::odq_conv::odq_conv2d_planned` operation for operation.
 pub fn ref_odq_conv2d(
     x: &[f32],
     w: &[f32],

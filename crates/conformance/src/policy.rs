@@ -73,7 +73,7 @@ impl ConvExecutor for PolicyOracleExecutor {
                 }
                 o
             }
-            // `sparse` changes the execution strategy, never the values.
+            // `sparse` only skips instrumentation, never changes the values.
             Route::Odq { threshold, sparse: _ } => {
                 ref_odq_conv2d(xs, ws, ctx.bias, n, &g, &OdqCfg::int4(threshold)).output
             }

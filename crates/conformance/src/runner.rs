@@ -2,16 +2,14 @@
 //!
 //! [`run_layer_diff`] generates deterministic inputs/weights from a seed,
 //! executes every convolution path in the workspace — per-call kernels,
-//! planned/fused drivers, the sparse ODQ executor, and the
+//! planned drivers (the ODQ kernel among them), and the
 //! `ConvExecutor`-level engine forwards — and compares each against the
 //! scalar oracle in [`crate::oracle`], reporting per-element max ulp/abs
 //! divergence. [`minimize`] shrinks a failing spec to a smallest still-
 //! failing geometry for triage.
 
 use odq_core::engine::OdqEngine;
-use odq_core::odq_conv::{
-    odq_conv2d, odq_conv2d_planned, odq_conv2d_sparse, odq_conv2d_sparse_planned, OdqCfg,
-};
+use odq_core::odq_conv::{odq_conv2d, odq_conv2d_planned, OdqCfg};
 use odq_drq::drq_conv::{drq_conv2d, drq_conv2d_planned, DrqCfg};
 use odq_drq::DrqEngine;
 use odq_nn::executor::{add_bias, ConvCtx, ConvExecutor, FloatConvExecutor, StaticQuantExecutor};
@@ -160,7 +158,7 @@ pub fn compare(oracle: &[f32], engine: &[f32]) -> Divergence {
 /// One engine path's agreement with the oracle.
 #[derive(Clone, Debug)]
 pub struct PathReport {
-    /// Path label, e.g. `"odq/sparse-planned"`.
+    /// Path label, e.g. `"odq/planned"`.
     pub path: &'static str,
     /// Strictness class.
     pub class: PathClass,
@@ -312,41 +310,35 @@ pub fn run_layer_diff(spec: &LayerSpec) -> DiffReport {
     let y = StaticQuantExecutor::with_bits(16, 8, 1.0).conv(&ctx, &x);
     paths.push(report("static16/executor", PathClass::Integer, &oracle_s16, y.as_slice(), 0));
 
-    // --- ODQ: dense, planned, sparse, sparse-planned, engine ------------
+    // --- ODQ: per-call, planned kernel, engines --------------------------
     let cfg = OdqCfg::int4(spec.odq_threshold());
     let oracle_odq = ref_odq_conv2d(x.as_slice(), w.as_slice(), bias, n, &g, &cfg);
-    let odq_paths: Vec<(&'static str, odq_core::odq_conv::OdqConvOutput)> = vec![
-        ("odq/dense", odq_conv2d(&x, &w, bias, &g, &cfg)),
-        ("odq/planned", {
-            let plans = PlanCache::new();
-            let plan = plans.plan_for("conformance", &w, PlanSpec::odq(cfg.w_bits, cfg.low_bits));
-            let qx4 = quantize_activation(&x, cfg.a_bits, cfg.a_clip);
-            odq_conv2d_planned(&qx4, &plan, bias, &g, &cfg, plans.pool())
-        }),
-        ("odq/sparse", odq_conv2d_sparse(&x, &w, bias, &g, &cfg)),
-        ("odq/sparse-planned", {
-            let plans = PlanCache::new();
-            let plan = plans.plan_for("conformance", &w, PlanSpec::odq(cfg.w_bits, cfg.low_bits));
-            odq_conv2d_sparse_planned(&x, &plan, bias, &g, &cfg, plans.pool())
-        }),
-    ];
-    for (label, r) in &odq_paths {
-        let mm = mask_mismatch(&oracle_odq.mask, r.mask.bits());
-        paths.push(report(label, PathClass::Integer, &oracle_odq.output, r.output.as_slice(), mm));
+    let per_call = odq_conv2d(&x, &w, bias, &g, &cfg);
+    let planned = {
+        let plans = PlanCache::new();
+        let plan = plans.plan_for("conformance", &w, PlanSpec::odq(cfg.w_bits, cfg.low_bits));
+        let qx4 = quantize_activation(&x, cfg.a_bits, cfg.a_clip);
+        odq_conv2d_planned(&qx4, &plan, bias, &g, &cfg, plans.pool())
+    };
+    for (label, out, mask) in [
+        ("odq/per-call", &per_call.output, &per_call.mask),
+        ("odq/planned", &planned.output, &planned.mask),
+    ] {
+        let mm = mask_mismatch(&oracle_odq.mask, mask.bits());
+        paths.push(report(label, PathClass::Integer, &oracle_odq.output, out.as_slice(), mm));
     }
-    // The dense form also exposes the exact-INT4 reference; pin it too.
+    // The per-call form also returns the exact-INT4 reference; pin it too.
     paths.push(report(
         "odq/reference",
         PathClass::Integer,
         &oracle_odq.reference,
-        odq_paths[0].1.reference.as_slice(),
+        per_call.reference.as_slice(),
         0,
     ));
     let mut engine = OdqEngine::new(cfg.threshold);
     let y = engine.conv(&ctx, &x);
     paths.push(report("odq/engine", PathClass::Integer, &oracle_odq.output, y.as_slice(), 0));
     let mut engine = OdqEngine::new(cfg.threshold);
-    engine.record = false;
     engine.sparse = true;
     let y = engine.conv(&ctx, &x);
     paths.push(report(

@@ -15,10 +15,10 @@
 //!
 //! Modules:
 //!
-//! * [`odq_conv`] — the masked two-step convolution, in both a dense
-//!   (GEMM-everything, mask-select) form used for statistics and accuracy,
-//!   and a sparse form that genuinely skips insensitive outputs (what the
-//!   accelerator does).
+//! * [`odq_conv`] — the masked two-step convolution: one planned kernel
+//!   whose dense predictor builds the mask and whose executor computes
+//!   only the sensitive outputs (what the accelerator does), plus a
+//!   per-call wrapper that also returns the exact INT4 reference.
 //! * [`mask`] — sensitivity bit masks and per-channel workload summaries
 //!   consumed by the accelerator simulator.
 //! * [`engine`] — [`OdqEngine`], a `ConvExecutor` that runs entire models
@@ -37,7 +37,7 @@ pub mod threshold;
 pub use engine::OdqEngine;
 pub use mask::SensitivityMask;
 pub use odq_conv::{
-    odq_conv2d, odq_conv2d_planned, odq_conv2d_sparse_planned, OdqCfg, OdqConvOutput,
+    odq_conv2d, odq_conv2d_planned, odq_int4_reference, OdqCfg, OdqConvOutput, OdqConvReport,
 };
 pub use stats::{LayerStats, OdqStats};
 pub use threshold::{

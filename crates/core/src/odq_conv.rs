@@ -1,13 +1,9 @@
 //! The masked two-step ODQ convolution.
 
-use odq_quant::plan::QConvPlan;
-use odq_quant::predict::{odq_estimate_precomputed, odq_predict, odq_predict_from_hh};
-use odq_quant::qconv::{
-    accumulate_column_rows, combine_planes, qconv2d_planes, qconv2d_planes_fused, receptive_sums,
-};
-use odq_quant::{quantize_activation, quantize_weights, split_qtensor, QTensor};
-use odq_tensor::gemm::gemm_i16_i32;
-use odq_tensor::im2col::im2col;
+use odq_quant::plan::{PlanSpec, QConvPlan};
+use odq_quant::predict::odq_estimate_precomputed;
+use odq_quant::qconv::qconv2d;
+use odq_quant::{quantize_activation, QTensor};
 use odq_tensor::workspace::WorkspacePool;
 use odq_tensor::{ConvGeom, Tensor};
 use rayon::prelude::*;
@@ -40,106 +36,80 @@ impl OdqCfg {
     }
 }
 
-/// Result of an ODQ convolution.
+/// Result of the planned ODQ kernel.
 pub struct OdqConvOutput {
     /// Final outputs (dequantized f32), `[N, Co, OH, OW]`.
     pub output: Tensor,
     /// The predictor's sensitivity mask.
     pub mask: SensitivityMask,
+}
+
+/// Result of the per-call [`odq_conv2d`]: the kernel's output and mask
+/// plus the exact INT4 reference.
+pub struct OdqConvReport {
+    /// Final outputs (dequantized f32), `[N, Co, OH, OW]`.
+    pub output: Tensor,
+    /// The predictor's sensitivity mask.
+    pub mask: SensitivityMask,
     /// The exact INT4 reference output (both planes everywhere) — what a
-    /// non-dynamic INT4 conv would produce. Used for precision-loss
-    /// accounting; computed from the same plane products at no extra GEMM
-    /// cost.
+    /// non-dynamic INT4 conv would produce; see [`odq_int4_reference`].
     pub reference: Tensor,
 }
 
-/// Run the two-step ODQ convolution (dense instrumentation form).
-///
-/// Computes all four Eq. 3 plane products with GEMM, derives the predictor
-/// mask from the [`odq_predict`] estimate, and composes the final output as
-/// `sensitive ? exact_int4 : predictor_estimate`. Numerically identical to
-/// the sparse execution the accelerator performs; this form also yields
-/// the INT4 reference output for free.
+/// Per-call ODQ convolution over float operands: quantizes both sides,
+/// builds a throwaway [`QConvPlan`], runs [`odq_conv2d_planned`] and also
+/// computes the INT4 reference for precision-loss accounting.
 pub fn odq_conv2d(
     x: &Tensor,
     w: &Tensor,
     bias: Option<&[f32]>,
     g: &ConvGeom,
     cfg: &OdqCfg,
-) -> OdqConvOutput {
+) -> OdqConvReport {
     let qx = quantize_activation(x, cfg.a_bits, cfg.a_clip);
-    let qw = quantize_weights(w, cfg.w_bits);
-    odq_conv2d_quantized(&qx, &qw, bias, g, cfg)
+    let plan = QConvPlan::build(w, PlanSpec::odq(cfg.w_bits, cfg.low_bits));
+    let pool = WorkspacePool::new();
+    let OdqConvOutput { output, mask } = odq_conv2d_planned(&qx, &plan, bias, g, cfg, &pool);
+    let reference = odq_int4_reference(&qx, &plan, bias, g);
+    OdqConvReport { output, mask, reference }
 }
 
-/// [`odq_conv2d`] over pre-quantized operands (lets engines cache weight
-/// quantization across calls).
-pub fn odq_conv2d_quantized(
+/// The exact reference of an ODQ layer (INT4 in the paper's
+/// configuration): the static quantized conv over the plan's weights, plus
+/// bias. It equals Eq. 3 evaluated with both planes at every output, bit
+/// for bit, so a sensitive ODQ output always equals its reference. It
+/// lowers through its own scratch, so a plan cache's pool keeps counting
+/// only the kernel's lowerings.
+pub fn odq_int4_reference(
     qx: &QTensor,
-    qw: &QTensor,
+    plan: &QConvPlan,
     bias: Option<&[f32]>,
     g: &ConvGeom,
-    cfg: &OdqCfg,
-) -> OdqConvOutput {
-    let xp = split_qtensor(qx, cfg.low_bits);
-    let wp = split_qtensor(qw, cfg.low_bits);
-    let scale = qx.scale * qw.scale;
-
-    // All four Eq. 3 plane products (the instrumented path needs them for
-    // the exact reference anyway); the predictor estimate reuses the HH
-    // product rather than recomputing its GEMM.
-    let planes = qconv2d_planes(&xp, &wp, g);
-    let pred = odq_predict_from_hh(planes.hh.clone(), &xp.high, &wp, qw.zero, scale, g);
-    let full_codes = combine_planes(&planes);
-    let sa = receptive_sums(&qx.codes, g);
-
-    let n = qx.codes.dims()[0];
-    let spatial = g.out_spatial();
-    let co = g.out_channels;
-    let total = n * co * spatial;
-
-    let mut bits = vec![false; total];
-    let mut out = vec![0.0f32; total];
-    let mut reference = vec![0.0f32; total];
-    {
-        let est = pred.estimate.as_slice();
-        let fc = full_codes.as_slice();
-        let sas = sa.as_slice();
-        for img in 0..n {
-            for f in 0..co {
-                let base = (img * co + f) * spatial;
-                for sp in 0..spatial {
-                    let i = base + sp;
-                    let full = scale * (fc[i] as f32 - qw.zero * sas[img * spatial + sp] as f32);
-                    let p_hat = est[i];
-                    let sensitive = p_hat.abs() >= cfg.threshold;
-                    bits[i] = sensitive;
-                    out[i] = if sensitive { full } else { p_hat };
-                    reference[i] = full;
-                }
-            }
-        }
-    }
-
-    let mut output = Tensor::from_vec(g.output_shape(n), out);
-    let mut reference = Tensor::from_vec(g.output_shape(n), reference);
+) -> Tensor {
+    let mut reference = qconv2d(qx, &plan.qw, g);
     if let Some(b) = bias {
-        add_bias(&mut output, b, g);
         add_bias(&mut reference, b, g);
     }
-
-    OdqConvOutput { output, mask: SensitivityMask::new(n, co, spatial, bits), reference }
+    reference
 }
 
-/// [`odq_conv2d_quantized`] over a prepacked layer plan and a shared
-/// workspace pool: the weight planes and predictor constants come from the
-/// plan (built once per weight version), and each image's activations are
-/// lowered exactly once — the fused kernel feeds all four plane GEMMs and
-/// both receptive-sum accumulators from that single column matrix.
+/// The ODQ convolution over a prepacked layer plan: a dense predictor and
+/// an executor that runs only on sensitive outputs, as the accelerator
+/// does.
 ///
-/// Bit-identical to the unplanned path: plane derivation in the column
-/// domain is exact, reduction orders are unchanged, and the estimate's f32
-/// arithmetic matches [`odq_predict_from_hh`] operation for operation.
+/// Each image is lowered once, pixel-major (one contiguous `col_len` row
+/// of activation codes per output pixel), and the high bit plane is
+/// derived from those rows. The predictor computes `HH = Σ a_H·n_H` for
+/// every output, thresholds the [`odq_estimate_precomputed`] estimate into
+/// the mask, and keeps the estimate for insensitive outputs. The executor
+/// walks the outputs channel by channel and computes each sensitive one as
+/// a single `i16·i16 → i32` dot product of the pixel's code row against the
+/// filter's code row in `plan.qw`, corrected by `Σ a`, which is summed once
+/// per pixel. Executor work is therefore proportional to the sensitive
+/// fraction.
+///
+/// All accumulation is exact `i32` and the f32 expressions are those of
+/// the scalar oracle, so outputs and masks are bit-identical to it.
 ///
 /// # Panics
 /// Panics if the plan was not built for an ODQ spec matching `cfg`
@@ -158,265 +128,91 @@ pub fn odq_conv2d_planned(
     let qw = &plan.qw;
     let scale = qx.scale * qw.scale;
 
-    let lowered = qconv2d_planes_fused(&qx.codes, wp, g, pool);
-    let valid = plan.valid_taps(g);
-    let est = odq_estimate_precomputed(
-        &lowered.planes.hh,
-        &lowered.sa_h,
-        &plan.sum_nh,
-        &plan.sum_nl,
-        &valid,
-        cfg.low_bits,
-        qw.zero,
-        scale,
-        g,
-    );
-    let full_codes = combine_planes(&lowered.planes);
-
     let n = qx.codes.dims()[0];
-    let spatial = g.out_spatial();
-    let co = g.out_channels;
-    let total = n * co * spatial;
-
-    let mut bits = vec![false; total];
-    let mut out = vec![0.0f32; total];
-    let mut reference = vec![0.0f32; total];
-    {
-        let est = est.as_slice();
-        let fc = full_codes.as_slice();
-        let sas = lowered.sa.as_slice();
-        for img in 0..n {
-            for f in 0..co {
-                let base = (img * co + f) * spatial;
-                for sp in 0..spatial {
-                    let i = base + sp;
-                    let full = scale * (fc[i] as f32 - qw.zero * sas[img * spatial + sp] as f32);
-                    let p_hat = est[i];
-                    let sensitive = p_hat.abs() >= cfg.threshold;
-                    bits[i] = sensitive;
-                    out[i] = if sensitive { full } else { p_hat };
-                    reference[i] = full;
-                }
-            }
-        }
-    }
-
-    let mut output = Tensor::from_vec(g.output_shape(n), out);
-    let mut reference = Tensor::from_vec(g.output_shape(n), reference);
-    if let Some(b) = bias {
-        add_bias(&mut output, b, g);
-        add_bias(&mut reference, b, g);
-    }
-
-    OdqConvOutput { output, mask: SensitivityMask::new(n, co, spatial, bits), reference }
-}
-
-/// Genuinely sparse ODQ execution: the predictor runs densely (it must —
-/// it produces the mask), then the executor computes the three remaining
-/// cross terms and the exact receptive sum **only** for sensitive outputs
-/// via per-output dot products, exactly like the accelerator's executor
-/// PEs.
-///
-/// Returns the same output as [`odq_conv2d`]; exists to demonstrate (and
-/// benchmark) that the executor work really is proportional to the
-/// sensitive fraction.
-pub fn odq_conv2d_sparse(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    g: &ConvGeom,
-    cfg: &OdqCfg,
-) -> OdqConvOutput {
-    let qx = quantize_activation(x, cfg.a_bits, cfg.a_clip);
-    let qw = quantize_weights(w, cfg.w_bits);
-    let xp = split_qtensor(&qx, cfg.low_bits);
-    let wp = split_qtensor(&qw, cfg.low_bits);
-    let scale = qx.scale * qw.scale;
-    let shift = cfg.low_bits;
-    let pow = 1i64 << shift;
-
-    let pred = odq_predict(&xp.high, &wp, qw.zero, scale, g);
-
-    let n = x.dims()[0];
-    let spatial = g.out_spatial();
-    let co = g.out_channels;
-    let col_len = g.col_len();
-    let total = n * co * spatial;
-    let mut bits = vec![false; total];
-    let mut out = vec![0.0f32; total];
-
-    let wh = wp.high.as_slice();
-    let wl = wp.low.as_slice();
-    let hhs = pred.hh.as_slice();
-    let sahs = pred.sa_h.as_slice();
-    let est = pred.estimate.as_slice();
-    for img in 0..n {
-        // Executor works from the same lowered columns as the predictor.
-        let col_h = im2col(xp.high.outer(img), g);
-        let col_l = im2col(xp.low.outer(img), g);
-        for ch in 0..co {
-            let w_h = &wh[ch * col_len..(ch + 1) * col_len];
-            let w_l = &wl[ch * col_len..(ch + 1) * col_len];
-            for sp in 0..spatial {
-                let idx = (img * co + ch) * spatial + sp;
-                let p_hat = est[idx];
-                let sensitive = p_hat.abs() >= cfg.threshold;
-                bits[idx] = sensitive;
-                if sensitive {
-                    // Remaining three cross terms + exact low-plane sum,
-                    // for this output only.
-                    let mut hl = 0i64;
-                    let mut lh = 0i64;
-                    let mut ll = 0i64;
-                    let mut sa_l = 0i64;
-                    for k in 0..col_len {
-                        let ah = col_h[k * spatial + sp] as i64;
-                        let al = col_l[k * spatial + sp] as i64;
-                        hl += ah * w_l[k] as i64;
-                        lh += al * w_h[k] as i64;
-                        ll += al * w_l[k] as i64;
-                        sa_l += al;
-                    }
-                    let hh = hhs[idx] as i64;
-                    let full_codes = (hh << (2 * shift)) + ((hl + lh) << shift) + ll;
-                    let sa = pow * sahs[img * spatial + sp] as i64 + sa_l;
-                    out[idx] = scale * (full_codes as f32 - qw.zero * sa as f32);
-                } else {
-                    out[idx] = p_hat;
-                }
-            }
-        }
-    }
-
-    let mut output = Tensor::from_vec(g.output_shape(n), out);
-    if let Some(b) = bias {
-        add_bias(&mut output, b, g);
-    }
-    // The sparse path skips the exact values for insensitive outputs (that
-    // is its point), so `reference` simply mirrors `output` — use
-    // `odq_conv2d` for instrumentation that needs the true INT4 reference.
-    let reference = output.clone();
-    OdqConvOutput { output, mask: SensitivityMask::new(n, co, spatial, bits), reference }
-}
-
-/// [`odq_conv2d_sparse`] over a prepacked plan and workspace pool. Each
-/// image is lowered exactly once; the predictor's `HH` GEMM, its `SaH`
-/// accumulator and the executor's per-sensitive-output dot products all
-/// read the same column matrix (and its derived planes), mirroring the
-/// accelerator's shared operand stream. Batch-parallel over images.
-///
-/// # Panics
-/// Panics if the plan was not built for an ODQ spec matching `cfg`.
-pub fn odq_conv2d_sparse_planned(
-    x: &Tensor,
-    plan: &QConvPlan,
-    bias: Option<&[f32]>,
-    g: &ConvGeom,
-    cfg: &OdqCfg,
-    pool: &WorkspacePool,
-) -> OdqConvOutput {
-    let wp = plan.planes.as_ref().expect("plan lacks ODQ bit planes");
-    assert_eq!(wp.low_bits, cfg.low_bits, "plan low_bits mismatch");
-    assert_eq!(plan.spec.w_bits, cfg.w_bits, "plan w_bits mismatch");
-    let qw = &plan.qw;
-    let qx = quantize_activation(x, cfg.a_bits, cfg.a_clip);
-    let scale = qx.scale * qw.scale;
-    let shift = cfg.low_bits;
-    let pow = 1i64 << shift;
-
-    let n = x.dims()[0];
     let spatial = g.out_spatial();
     let co = g.out_channels;
     let col_len = g.col_len();
     let per_img = co * spatial;
     let valid = plan.valid_taps(g);
-
-    let wh = wp.high.as_slice();
-    let wl = wp.low.as_slice();
-    let per_image: Vec<(Vec<f32>, Vec<bool>)> = (0..n)
-        .into_par_iter()
-        .map(|img| {
-            pool.with(|wk| {
-                let (_, col_h, col_l) = wk.lower_i16_split(qx.codes.outer(img), g, shift);
-                // Predictor over this image's high plane: `HH` GEMM plus
-                // the `SaH` accumulator on the same operand stream.
-                let mut hh = Tensor::<i32>::zeros(g.output_shape(1));
-                gemm_i16_i32(wh, col_h, hh.as_mut_slice(), co, col_len, spatial);
-                let mut sa_h = Tensor::<i32>::zeros([1, g.out_h(), g.out_w()]);
-                accumulate_column_rows(col_h, sa_h.as_mut_slice(), col_len, spatial);
-                let est = odq_estimate_precomputed(
-                    &hh,
-                    &sa_h,
-                    &plan.sum_nh,
-                    &plan.sum_nl,
-                    &valid,
-                    shift,
-                    qw.zero,
-                    scale,
-                    g,
-                );
-
-                let hhs = hh.as_slice();
-                let sahs = sa_h.as_slice();
-                let ests = est.as_slice();
-                let mut out = vec![0.0f32; per_img];
-                let mut bits = vec![false; per_img];
-                for ch in 0..co {
-                    let w_h = &wh[ch * col_len..(ch + 1) * col_len];
-                    let w_l = &wl[ch * col_len..(ch + 1) * col_len];
-                    for sp in 0..spatial {
-                        let idx = ch * spatial + sp;
-                        let p_hat = ests[idx];
-                        let sensitive = p_hat.abs() >= cfg.threshold;
-                        bits[idx] = sensitive;
-                        if sensitive {
-                            // Remaining three cross terms + exact low-plane
-                            // sum, for this output only.
-                            let mut hl = 0i64;
-                            let mut lh = 0i64;
-                            let mut ll = 0i64;
-                            let mut sa_l = 0i64;
-                            for k in 0..col_len {
-                                let ah = col_h[k * spatial + sp] as i64;
-                                let al = col_l[k * spatial + sp] as i64;
-                                hl += ah * w_l[k] as i64;
-                                lh += al * w_h[k] as i64;
-                                ll += al * w_l[k] as i64;
-                                sa_l += al;
-                            }
-                            let hh_v = hhs[idx] as i64;
-                            let full_codes = (hh_v << (2 * shift)) + ((hl + lh) << shift) + ll;
-                            let sa = pow * sahs[sp] as i64 + sa_l;
-                            out[idx] = scale * (full_codes as f32 - qw.zero * sa as f32);
-                        } else {
-                            out[idx] = p_hat;
-                        }
-                    }
-                }
-                (out, bits)
-            })
-        })
-        .collect();
+    let (w_codes, w_high) = (qw.codes.as_slice(), wp.high.as_slice());
 
     let mut out = vec![0.0f32; n * per_img];
     let mut bits = vec![false; n * per_img];
-    for (img, (o, b)) in per_image.iter().enumerate() {
-        out[img * per_img..(img + 1) * per_img].copy_from_slice(o);
-        bits[img * per_img..(img + 1) * per_img].copy_from_slice(b);
-    }
+    let chunk = per_img.max(1);
+    let images = out.par_chunks_mut(chunk).zip(bits.par_chunks_mut(chunk)).enumerate();
+    images.for_each(|(img, (out, bits))| {
+        pool.with(|wk| {
+            let (rows, rows_h) = wk.lower_i16_rows(qx.codes.outer(img), g, cfg.low_bits);
+            // Predictor: `HH` for every output, `Σ a_H` and `Σ a` per pixel.
+            let mut hh = vec![0i32; per_img];
+            for (w_f, hh_f) in w_high.chunks_exact(col_len).zip(hh.chunks_exact_mut(spatial)) {
+                for (v, r) in hh_f.iter_mut().zip(rows_h.chunks_exact(col_len)) {
+                    *v = dot_i16(r, w_f);
+                }
+            }
+            let row_sums = |rows: &[i16]| -> Vec<i32> {
+                rows.chunks_exact(col_len).map(|r| r.iter().map(|&a| a as i32).sum()).collect()
+            };
+            let sa_h = row_sums(rows_h);
+            let sa = row_sums(rows);
+            let est = odq_estimate_precomputed(
+                &Tensor::from_vec(g.output_shape(1), hh),
+                &Tensor::from_vec([1, g.out_h(), g.out_w()], sa_h),
+                &plan.sum_nh,
+                &plan.sum_nl,
+                &valid,
+                cfg.low_bits,
+                qw.zero,
+                scale,
+                g,
+            );
+
+            // Executor: sensitive outputs only, one filter row at a time.
+            let filters = w_codes.chunks_exact(col_len).zip(est.as_slice().chunks_exact(spatial));
+            let channels = out.chunks_exact_mut(spatial).zip(bits.chunks_exact_mut(spatial));
+            for ((w_f, est_f), (out_f, bits_f)) in filters.zip(channels) {
+                let pixels = rows.chunks_exact(col_len).zip(&sa);
+                for (((o, bit), &p_hat), (r, &sa)) in
+                    out_f.iter_mut().zip(bits_f).zip(est_f).zip(pixels)
+                {
+                    *bit = p_hat.abs() >= cfg.threshold;
+                    *o = if *bit {
+                        scale * (dot_i16(r, w_f) as f32 - qw.zero * sa as f32)
+                    } else {
+                        p_hat
+                    };
+                }
+            }
+        })
+    });
 
     let mut output = Tensor::from_vec(g.output_shape(n), out);
     if let Some(b) = bias {
         add_bias(&mut output, b, g);
     }
-    let reference = output.clone();
-    OdqConvOutput { output, mask: SensitivityMask::new(n, co, spatial, bits), reference }
+    OdqConvOutput { output, mask: SensitivityMask::new(n, co, spatial, bits) }
+}
+
+/// Exact `Σ a·b` over two equal-length code rows. Sixteen independent lane
+/// accumulators let the widening multiply-adds vectorize on the baseline
+/// target; integer addition is associative, so the order is immaterial.
+fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
+    let (ca, cb) = (a.chunks_exact(16), b.chunks_exact(16));
+    let tail: i32 =
+        ca.remainder().iter().zip(cb.remainder()).map(|(&x, &y)| x as i32 * y as i32).sum();
+    let mut acc = [0i32; 16];
+    for (x, y) in ca.zip(cb) {
+        for ((s, &x), &y) in acc.iter_mut().zip(x).zip(y) {
+            *s += x as i32 * y as i32;
+        }
+    }
+    acc.iter().sum::<i32>() + tail
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odq_quant::qconv::qconv2d;
+    use odq_quant::quantize_weights;
 
     fn pseudo(n: usize, seed: usize) -> Vec<f32> {
         (0..n).map(|i| ((i * 2654435761 + seed * 101) % 1000) as f32 / 1000.0).collect()
@@ -443,8 +239,8 @@ mod tests {
         let qx = quantize_activation(&x, 4, 1.0);
         let qw = quantize_weights(&w, 4);
         let full = qconv2d(&qx, &qw, &g);
-        assert!(r.output.max_abs_diff(&full) < 1e-3);
-        assert!(r.reference.max_abs_diff(&full) < 1e-3);
+        assert_eq!(r.output.as_slice(), full.as_slice());
+        assert_eq!(r.reference.as_slice(), full.as_slice());
     }
 
     #[test]
@@ -476,8 +272,9 @@ mod tests {
         // Sensitive outputs equal the reference exactly.
         for i in 0..r.mask.len() {
             if r.mask.bits()[i] {
-                assert!(
-                    (r.output.as_slice()[i] - r.reference.as_slice()[i]).abs() < 1e-6,
+                assert_eq!(
+                    r.output.as_slice()[i],
+                    r.reference.as_slice()[i],
                     "sensitive output {i} must be exact"
                 );
             }
@@ -493,22 +290,6 @@ mod tests {
             let c = r.mask.sensitive_count();
             assert!(c <= last, "monotonicity violated at thr={thr}");
             last = c;
-        }
-    }
-
-    #[test]
-    fn sparse_matches_dense() {
-        let (x, w, g) = setup();
-        for thr in [0.0f32, 0.25, 0.5] {
-            let cfg = OdqCfg::int4(thr);
-            let dense = odq_conv2d(&x, &w, None, &g, &cfg);
-            let sparse = odq_conv2d_sparse(&x, &w, None, &g, &cfg);
-            assert!(
-                dense.output.max_abs_diff(&sparse.output) < 1e-3,
-                "sparse/dense mismatch at thr={thr}: {}",
-                dense.output.max_abs_diff(&sparse.output)
-            );
-            assert_eq!(dense.mask, sparse.mask, "masks must agree at thr={thr}");
         }
     }
 
@@ -541,7 +322,7 @@ mod tests {
         let qx = quantize_activation(&x, 8, 1.0);
         let qw = quantize_weights(&w, 8);
         let full = qconv2d(&qx, &qw, &g);
-        assert!(r.output.max_abs_diff(&full) < 1e-3);
+        assert_eq!(r.output.as_slice(), full.as_slice());
 
         // Predictor-only at 8/4 is *more* accurate than at 4/2 (its high
         // plane is the whole INT4 representation).
@@ -560,36 +341,26 @@ mod tests {
     }
 
     #[test]
-    fn planned_matches_dense_bit_exact_with_one_lowering_per_image() {
-        use odq_quant::plan::PlanSpec;
+    fn planned_kernel_matches_per_call_with_one_lowering_per_image() {
         let (x, w, g) = setup();
-        let cfg = OdqCfg::int4(0.3);
-        let qx = quantize_activation(&x, cfg.a_bits, cfg.a_clip);
-        let qw = quantize_weights(&w, cfg.w_bits);
-        let seed = odq_conv2d_quantized(&qx, &qw, None, &g, &cfg);
-
-        let plan = QConvPlan::build(&w, PlanSpec::odq(cfg.w_bits, cfg.low_bits));
-        let pool = WorkspacePool::new();
-        let planned = odq_conv2d_planned(&qx, &plan, None, &g, &cfg, &pool);
-
-        assert_eq!(planned.output.as_slice(), seed.output.as_slice(), "outputs bit-identical");
-        assert_eq!(planned.reference.as_slice(), seed.reference.as_slice());
-        assert_eq!(planned.mask, seed.mask);
-        assert_eq!(pool.lowerings(), 2, "one im2col per image for a batch of 2");
-    }
-
-    #[test]
-    fn sparse_planned_matches_sparse_bit_exact() {
-        use odq_quant::plan::PlanSpec;
-        let (x, w, g) = setup();
+        let bias = vec![0.5f32, -0.5, 0.25, 0.0];
         let plan = QConvPlan::build(&w, PlanSpec::odq(4, 2));
         let pool = WorkspacePool::new();
-        for thr in [0.0f32, 0.25, 0.5] {
+        // Density 1, mixed, and 0; the pool's scratch is reused throughout.
+        for thr in [0.0f32, 0.25, 0.5, f32::INFINITY] {
             let cfg = OdqCfg::int4(thr);
-            let seed = odq_conv2d_sparse(&x, &w, None, &g, &cfg);
-            let planned = odq_conv2d_sparse_planned(&x, &plan, None, &g, &cfg, &pool);
-            assert_eq!(planned.output.as_slice(), seed.output.as_slice(), "thr={thr}");
-            assert_eq!(planned.mask, seed.mask, "thr={thr}");
+            let per_call = odq_conv2d(&x, &w, Some(&bias), &g, &cfg);
+            let qx = quantize_activation(&x, cfg.a_bits, cfg.a_clip);
+            pool.reset_lowerings();
+            let planned = odq_conv2d_planned(&qx, &plan, Some(&bias), &g, &cfg, &pool);
+            assert_eq!(planned.output.as_slice(), per_call.output.as_slice(), "thr={thr}");
+            assert_eq!(planned.mask, per_call.mask, "thr={thr}");
+            assert_eq!(pool.lowerings(), 2, "one lowering per image for a batch of 2");
+
+            let qw = quantize_weights(&w, 4);
+            let mut reference = qconv2d(&qx, &qw, &g);
+            add_bias(&mut reference, &bias, &g);
+            assert_eq!(per_call.reference.as_slice(), reference.as_slice(), "thr={thr}");
         }
     }
 
@@ -610,7 +381,7 @@ mod tests {
                 max_insens_err = max_insens_err.max(e);
             }
         }
-        assert!(max_sens_err < 1e-6);
+        assert_eq!(max_sens_err, 0.0);
         assert!(max_insens_err > 0.0);
     }
 }

@@ -17,12 +17,12 @@ pub struct LayerStats {
     pub sensitive_outputs: u64,
     /// Sum of |odq − reference| over *reference-sensitive* outputs
     /// (outputs whose exact INT4 magnitude meets the threshold) — the
-    /// paper's per-layer "precision loss" (Sec. 6.1). Needs the dense
-    /// reference, so only the dense ODQ path records it; it stays 0 under
-    /// the sparse kernel.
+    /// paper's per-layer "precision loss" (Sec. 6.1). Needs the INT4
+    /// reference, so only an `OdqEngine` with `sparse` clear records it;
+    /// it stays 0 with `sparse` set, as in serving.
     pub precision_loss_sum: f64,
     /// Count of reference-sensitive outputs (denominator for the mean).
-    /// Dense path only, like `precision_loss_sum`.
+    /// Recorded only with `sparse` clear, like `precision_loss_sum`.
     pub reference_sensitive: u64,
     /// Sensitive-output counts per (image, output channel), appended per
     /// pass: the accelerator simulator's workload description.

@@ -66,8 +66,10 @@ pub enum Route {
     Odq {
         /// Output sensitivity threshold.
         threshold: f32,
-        /// Prefer the genuinely sparse executor path when statistics are
-        /// not being recorded (identical outputs either way).
+        /// Skip the precision-loss instrumentation (the INT4 reference)
+        /// when a non-serving caller records statistics. Outputs are
+        /// identical either way, and serving ignores the flag: it never
+        /// computes the reference. Kept for the checkpoint format.
         sparse: bool,
     },
 }

@@ -15,8 +15,8 @@
 //!   holds exactly, with `high` carrying the sign.
 //! * [`qconv`] — integer convolution over quantized tensors
 //!   (im2col + `i16`×`i16`→`i32/i64` GEMM) with offset-binary affine
-//!   corrections, the full product and the
-//!   per-bit-plane partial products of Eq. 3.
+//!   corrections. Applied to bit planes, the same code convolution gives
+//!   the partial products of Eq. 3.
 //! * [`plan`] — per-layer convolution plans ([`plan::QConvPlan`]):
 //!   quantized weights, their bit planes and the predictor's per-filter
 //!   constants prepacked once per weight version and cached in a
@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use odq_quant::{quantize_activation, quantize_weights, split_qtensor};
-//! use odq_quant::qconv::{combine_planes, qconv2d, qconv2d_planes};
+//! use odq_quant::qconv::{qconv2d, qconv2d_codes};
 //! use odq_tensor::{ConvGeom, Tensor};
 //!
 //! let g = ConvGeom::new(2, 3, 4, 4, 3, 1, 1);
@@ -37,9 +37,18 @@
 //! // and verify the Eq. 3 decomposition reconstructs the full product.
 //! let qx = quantize_activation(&x, 4, 1.0);
 //! let qw = quantize_weights(&w, 4);
-//! let planes = qconv2d_planes(&split_qtensor(&qx, 2), &split_qtensor(&qw, 2), &g);
-//! let full = combine_planes(&planes);
-//! assert_eq!(full.as_slice().len(), g.out_features());
+//! let (xp, wp) = (split_qtensor(&qx, 2), split_qtensor(&qw, 2));
+//! let full = qconv2d_codes(&qx.codes, &qw.codes, &g);
+//! let hh = qconv2d_codes(&xp.high, &wp.high, &g);
+//! let hl = qconv2d_codes(&xp.high, &wp.low, &g);
+//! let lh = qconv2d_codes(&xp.low, &wp.high, &g);
+//! let ll = qconv2d_codes(&xp.low, &wp.low, &g);
+//! for i in 0..g.out_features() {
+//!     let planes = (hh.as_slice()[i] << 4)
+//!         + ((hl.as_slice()[i] + lh.as_slice()[i]) << 2)
+//!         + ll.as_slice()[i];
+//!     assert_eq!(full.as_slice()[i], planes);
+//! }
 //!
 //! // The affine-aware convolution dequantizes exactly: 0.5 codes to 8/15
 //! // and 0.25 is on the weight grid, so the center output (all 18 taps
@@ -63,5 +72,5 @@ pub use dorefa::{
     quantize_weights_symmetric,
 };
 pub use plan::{weight_fingerprint, PlanCache, PlanSpec, QConvPlan};
-pub use predict::{odq_estimate_precomputed, odq_predict, odq_predict_from_hh, OdqPrediction};
+pub use predict::{odq_estimate_precomputed, odq_predict, OdqPrediction};
 pub use qtensor::{QScheme, QTensor};

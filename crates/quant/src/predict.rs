@@ -61,20 +61,6 @@ pub fn odq_predict(
     g: &ConvGeom,
 ) -> OdqPrediction {
     let hh = qconv2d_codes(x_high, &w_planes.high, g);
-    odq_predict_from_hh(hh, x_high, w_planes, w_zero, scale, g)
-}
-
-/// [`odq_predict`] when the high×high partial sums are already available
-/// (e.g. from [`crate::qconv::qconv2d_planes`]) — avoids recomputing the
-/// predictor GEMM in instrumented paths that need all four planes anyway.
-pub fn odq_predict_from_hh(
-    hh: Tensor<i32>,
-    x_high: &Tensor<i16>,
-    w_planes: &BitPlanes,
-    w_zero: f32,
-    scale: f32,
-    g: &ConvGeom,
-) -> OdqPrediction {
     let sa_h = receptive_sums(x_high, g);
     let valid = valid_tap_counts(g);
     let sum_nh = filter_code_sums(&w_planes.high, g.out_channels);
@@ -96,8 +82,8 @@ pub fn odq_predict_from_hh(
 /// The predictor's estimate when every input is already in hand: the `HH`
 /// partial sums and `SaH` receptive sums from the lowered activations, and
 /// the per-filter code sums / valid-tap counts prepacked in a layer plan.
-/// This is the pure arithmetic core of [`odq_predict_from_hh`]; the f32
-/// operation order matches it exactly, so results are bit-identical.
+/// This is the pure arithmetic core of [`odq_predict`], shared with the
+/// planned ODQ kernel, so both produce bit-identical estimates.
 #[allow(clippy::too_many_arguments)]
 pub fn odq_estimate_precomputed(
     hh: &Tensor<i32>,

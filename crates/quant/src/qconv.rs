@@ -20,7 +20,6 @@ use odq_tensor::workspace::WorkspacePool;
 use odq_tensor::{ConvGeom, Tensor};
 use rayon::prelude::*;
 
-use crate::bitsplit::BitPlanes;
 use crate::qtensor::QTensor;
 
 /// Integer convolution returning raw `i32` accumulators (`Σ a·n`).
@@ -277,188 +276,6 @@ fn fill_affine<T: Copy + Into<i64>>(
     }
 }
 
-/// The four per-bit-plane partial products of Eq. 3, *unshifted*.
-///
-/// With activation planes `(a_H, a_L)` and weight planes `(n_H, n_L)`:
-/// `hh = Σ a_H·n_H`, `hl = Σ a_H·n_L`, `lh = Σ a_L·n_H`, `ll = Σ a_L·n_L`.
-/// [`combine_planes`] applies the shifts and sums to recover `Σ a·n`.
-#[derive(Clone, Debug)]
-pub struct PlaneProducts {
-    /// High×high partial sums (the ODQ predictor's term).
-    pub hh: Tensor<i32>,
-    /// High(activation)×low(weight) partial sums.
-    pub hl: Tensor<i32>,
-    /// Low(activation)×high(weight) partial sums.
-    pub lh: Tensor<i32>,
-    /// Low×low partial sums.
-    pub ll: Tensor<i32>,
-    /// Bit width of the low-order planes (`N_LBS` in Eq. 3).
-    pub low_bits: u8,
-}
-
-impl PlaneProducts {
-    /// The predictor's raw term in code domain: `hh << 2·low_bits`.
-    pub fn predictor_codes(&self) -> Tensor<i32> {
-        let shift = 2 * self.low_bits;
-        self.hh.map(|v| v << shift)
-    }
-
-    /// The executor's remaining contribution in code domain:
-    /// `(hl + lh) << low_bits + ll`.
-    pub fn executor_codes(&self) -> Tensor<i32> {
-        let shift = self.low_bits;
-        let mut out = Tensor::<i32>::zeros(self.hh.shape().clone());
-        let o = out.as_mut_slice();
-        for (((o, &hl), &lh), &ll) in
-            o.iter_mut().zip(self.hl.as_slice()).zip(self.lh.as_slice()).zip(self.ll.as_slice())
-        {
-            *o = ((hl + lh) << shift) + ll;
-        }
-        out
-    }
-}
-
-/// Compute all four Eq. 3 partial products for a batch.
-///
-/// `x_planes`/`w_planes` are the bit planes of the activation and weight
-/// codes; their `low_bits` must agree. Each activation plane is lowered
-/// (im2col) once per image and reused for both of its GEMMs.
-pub fn qconv2d_planes(x_planes: &BitPlanes, w_planes: &BitPlanes, g: &ConvGeom) -> PlaneProducts {
-    assert_eq!(x_planes.low_bits, w_planes.low_bits, "low_bits mismatch between planes");
-    let pool = WorkspacePool::new();
-    let n = x_planes.high.dims()[0];
-    let out_spatial = g.out_spatial();
-    let per_img = g.out_channels * out_spatial;
-    let (m, k) = (g.out_channels, g.col_len());
-
-    let mut hh = Tensor::<i32>::zeros(g.output_shape(n));
-    let mut hl = Tensor::<i32>::zeros(g.output_shape(n));
-    let mut lh = Tensor::<i32>::zeros(g.output_shape(n));
-    let mut ll = Tensor::<i32>::zeros(g.output_shape(n));
-    let per_image: Vec<Vec<i32>> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            pool.with(|wk| {
-                let wh = w_planes.high.as_slice();
-                let wl = w_planes.low.as_slice();
-                let mut buf = vec![0i32; 4 * per_img];
-                {
-                    let col_h = wk.lower_i16(x_planes.high.outer(i), g);
-                    let (b_hh, rest) = buf.split_at_mut(per_img);
-                    let (b_hl, _) = rest.split_at_mut(per_img);
-                    gemm_i16_i32(wh, col_h, b_hh, m, k, out_spatial);
-                    gemm_i16_i32(wl, col_h, b_hl, m, k, out_spatial);
-                }
-                {
-                    let col_l = wk.lower_i16(x_planes.low.outer(i), g);
-                    let (_, rest) = buf.split_at_mut(2 * per_img);
-                    let (b_lh, b_ll) = rest.split_at_mut(per_img);
-                    gemm_i16_i32(wh, col_l, b_lh, m, k, out_spatial);
-                    gemm_i16_i32(wl, col_l, b_ll, m, k, out_spatial);
-                }
-                buf
-            })
-        })
-        .collect();
-    for (i, buf) in per_image.iter().enumerate() {
-        let r = i * per_img..(i + 1) * per_img;
-        hh.as_mut_slice()[r.clone()].copy_from_slice(&buf[..per_img]);
-        hl.as_mut_slice()[r.clone()].copy_from_slice(&buf[per_img..2 * per_img]);
-        lh.as_mut_slice()[r.clone()].copy_from_slice(&buf[2 * per_img..3 * per_img]);
-        ll.as_mut_slice()[r].copy_from_slice(&buf[3 * per_img..]);
-    }
-    PlaneProducts { hh, hl, lh, ll, low_bits: x_planes.low_bits }
-}
-
-/// Everything the ODQ predictor and executor need from one pass over the
-/// lowered activations: the four Eq. 3 plane products plus the receptive
-/// sums of the full codes (`Σ a`) and of the high plane (`Σ a_H`).
-pub struct OdqLoweredProducts {
-    /// The four unshifted Eq. 3 partial products.
-    pub planes: PlaneProducts,
-    /// `Σ a` per output position, `[N, OH, OW]` (offset-binary correction).
-    pub sa: Tensor<i32>,
-    /// `Σ a_H` per output position, `[N, OH, OW]` (predictor expectation).
-    pub sa_h: Tensor<i32>,
-}
-
-/// Fused single-lowering ODQ kernel: lower each image's codes **once**,
-/// derive the high/low activation planes in the column domain, and run the
-/// four plane GEMMs plus both receptive-sum reductions from that one
-/// column matrix — the accelerator's shared operand stream (Fig. 12).
-///
-/// Bit-identical to the unfused pipeline
-/// (`split_qtensor` → [`qconv2d_planes`] + [`receptive_sums`] × 2):
-/// zero-padded taps split to `(0, 0)`, reduction order per output element
-/// is unchanged, and all accumulation is exact `i32`.
-pub fn qconv2d_planes_fused(
-    x_codes: &Tensor<i16>,
-    w_planes: &BitPlanes,
-    g: &ConvGeom,
-    pool: &WorkspacePool,
-) -> OdqLoweredProducts {
-    let n = x_codes.dims()[0];
-    assert_eq!(x_codes.dims(), g.input_shape(n).0.as_slice(), "input shape mismatch");
-    let low_bits = w_planes.low_bits;
-    let out_spatial = g.out_spatial();
-    let per_img = g.out_channels * out_spatial;
-    let (m, k) = (g.out_channels, g.col_len());
-
-    let mut hh = Tensor::<i32>::zeros(g.output_shape(n));
-    let mut hl = Tensor::<i32>::zeros(g.output_shape(n));
-    let mut lh = Tensor::<i32>::zeros(g.output_shape(n));
-    let mut ll = Tensor::<i32>::zeros(g.output_shape(n));
-    let mut sa = Tensor::<i32>::zeros([n, g.out_h(), g.out_w()]);
-    let mut sa_h = Tensor::<i32>::zeros([n, g.out_h(), g.out_w()]);
-
-    let per_image: Vec<Vec<i32>> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            pool.with(|wk| {
-                let (col, col_h, col_l) = wk.lower_i16_split(x_codes.outer(i), g, low_bits);
-                let wh = w_planes.high.as_slice();
-                let wl = w_planes.low.as_slice();
-                let mut buf = vec![0i32; 4 * per_img + 2 * out_spatial];
-                let (b_hh, rest) = buf.split_at_mut(per_img);
-                let (b_hl, rest) = rest.split_at_mut(per_img);
-                let (b_lh, rest) = rest.split_at_mut(per_img);
-                let (b_ll, rest) = rest.split_at_mut(per_img);
-                let (b_sa, b_sah) = rest.split_at_mut(out_spatial);
-                gemm_i16_i32(wh, col_h, b_hh, m, k, out_spatial);
-                gemm_i16_i32(wl, col_h, b_hl, m, k, out_spatial);
-                gemm_i16_i32(wh, col_l, b_lh, m, k, out_spatial);
-                gemm_i16_i32(wl, col_l, b_ll, m, k, out_spatial);
-                accumulate_column_rows(col, b_sa, k, out_spatial);
-                accumulate_column_rows(col_h, b_sah, k, out_spatial);
-                buf
-            })
-        })
-        .collect();
-    for (i, buf) in per_image.iter().enumerate() {
-        let r = i * per_img..(i + 1) * per_img;
-        hh.as_mut_slice()[r.clone()].copy_from_slice(&buf[..per_img]);
-        hl.as_mut_slice()[r.clone()].copy_from_slice(&buf[per_img..2 * per_img]);
-        lh.as_mut_slice()[r.clone()].copy_from_slice(&buf[2 * per_img..3 * per_img]);
-        ll.as_mut_slice()[r].copy_from_slice(&buf[3 * per_img..4 * per_img]);
-        let s = i * out_spatial..(i + 1) * out_spatial;
-        sa.as_mut_slice()[s.clone()].copy_from_slice(&buf[4 * per_img..4 * per_img + out_spatial]);
-        sa_h.as_mut_slice()[s].copy_from_slice(&buf[4 * per_img + out_spatial..]);
-    }
-    OdqLoweredProducts { planes: PlaneProducts { hh, hl, lh, ll, low_bits }, sa, sa_h }
-}
-
-/// Recombine the plane products into full code-domain products
-/// (Eq. 3): `(hh << 2N) + ((hl + lh) << N) + ll = Σ a·n`.
-pub fn combine_planes(p: &PlaneProducts) -> Tensor<i32> {
-    let pred = p.predictor_codes();
-    let exec = p.executor_codes();
-    let mut out = pred;
-    for (a, b) in out.as_mut_slice().iter_mut().zip(exec.as_slice()) {
-        *a += b;
-    }
-    out
-}
-
 /// Requantize codes to a coarser grid that shares the same scale and zero
 /// point: `c' = round(c / step) · step`, where
 /// `step = (2^hi_bits − 1) / (2^lo_bits − 1)` (integer for the paper's
@@ -576,12 +393,21 @@ mod tests {
         let qw = quantize_weights(&w, 4);
         let full = qconv2d_codes(&qx.codes, &qw.codes, &g);
 
-        let xp = split_qtensor(&qx, 2);
-        let wp = split_qtensor(&qw, 2);
-        let planes = qconv2d_planes(&xp, &wp, &g);
-        let recombined = combine_planes(&planes);
-
-        assert_eq!(full.as_slice(), recombined.as_slice(), "Eq. 3 must be exact");
+        // Eq. 3: Σ a·n = 2^2d·HH + 2^d·(HL + LH) + LL, each term a plane conv.
+        let (xp, wp) = (split_qtensor(&qx, 2), split_qtensor(&qw, 2));
+        let hh = qconv2d_codes(&xp.high, &wp.high, &g);
+        let hl = qconv2d_codes(&xp.high, &wp.low, &g);
+        let lh = qconv2d_codes(&xp.low, &wp.high, &g);
+        let ll = qconv2d_codes(&xp.low, &wp.low, &g);
+        for i in 0..full.numel() {
+            let (hh, hl, lh, ll) =
+                (hh.as_slice()[i], hl.as_slice()[i], lh.as_slice()[i], ll.as_slice()[i]);
+            assert_eq!(
+                full.as_slice()[i],
+                (hh << 4) + ((hl + lh) << 2) + ll,
+                "Eq. 3 must be exact"
+            );
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub enum EngineKind {
         input_threshold: f32,
     },
     /// ODQ with a global output threshold (the paper's configuration).
+    /// Served on the planned kernel, recording mask counts only.
     Odq {
         /// Output sensitivity threshold.
         threshold: f32,
@@ -108,9 +109,7 @@ impl EngineKind {
                 DrqCfg::int8_int4(*input_threshold),
                 plans,
             )),
-            EngineKind::Odq { threshold } => {
-                EngineExec::Odq(OdqEngine::with_plan_cache(*threshold, plans))
-            }
+            EngineKind::Odq { threshold } => EngineExec::Odq(serving_odq(*threshold, plans)),
         }
     }
 
@@ -146,12 +145,18 @@ fn build_route(route: Route, plans: Arc<PlanCache>) -> EngineExec {
                 plans,
             ))
         }
-        Route::Odq { threshold, sparse } => {
-            let mut e = OdqEngine::with_plan_cache(threshold, plans);
-            e.sparse = sparse;
-            EngineExec::Odq(e)
-        }
+        // Serving never reads precision loss, so the route's `sparse` flag
+        // is ignored: every ODQ route records only its mask counts.
+        Route::Odq { threshold, .. } => EngineExec::Odq(serving_odq(threshold, plans)),
     }
+}
+
+/// The ODQ engine serving builds: the planned kernel, recording only the
+/// mask counts the ledger reads — never the INT4 reference.
+fn serving_odq(threshold: f32, plans: Arc<PlanCache>) -> OdqEngine {
+    let mut e = OdqEngine::with_plan_cache(threshold, plans);
+    e.sparse = true;
+    e
 }
 
 /// A [`ConvExecutor`] that routes each conv layer to the engine its
@@ -451,6 +456,42 @@ mod tests {
         }
         // C1 and C2 share one ODQ engine; C3 gets static; C9 the default.
         assert_eq!(exec.engine_count(), 3);
+    }
+
+    #[test]
+    fn served_odq_records_mask_counts_and_no_precision_loss() {
+        // Threshold 0 marks every output sensitive, so a layer that
+        // computed the INT4 reference would count every output in
+        // `reference_sensitive`.
+        let g = ConvGeom::new(2, 3, 4, 4, 3, 1, 1);
+        let x = Tensor::from_vec(g.input_shape(2), (0..64).map(|i| i as f32 / 64.0).collect());
+        let w =
+            Tensor::from_vec(g.weight_shape(), (0..54).map(|i| i as f32 / 27.0 - 1.0).collect());
+        let ctx = ConvCtx { name: "C1", geom: g, weights: &w, bias: None, qat: None };
+        let kind = EngineKind::Odq { threshold: 0.0 };
+        let routed = PrecisionPolicy::uniform(Route::Odq { threshold: 0.0, sparse: false });
+        for mut exec in [
+            kind.build(Arc::new(PlanCache::new())),
+            EngineKind::Policy(Arc::new(routed)).build(Arc::new(PlanCache::new())),
+        ] {
+            exec.begin_pass();
+            let _ = exec.conv(&ctx, &x);
+            let engine = match &exec {
+                EngineExec::Odq(e) => e,
+                EngineExec::Policy(p) => match &p.engines[0].1 {
+                    EngineExec::Odq(e) => e,
+                    _ => panic!("an ODQ route must build an ODQ engine"),
+                },
+                _ => panic!("ODQ kinds must build ODQ engines"),
+            };
+            let layer = engine.stats.layer("C1").expect("served ODQ records the layer");
+            assert_eq!(layer.total_outputs, 2 * 3 * 16);
+            assert_eq!(layer.sensitive_outputs, layer.total_outputs);
+            let per_channel: u64 = layer.channel_counts.iter().flatten().map(|&c| c as u64).sum();
+            assert_eq!(per_channel, layer.sensitive_outputs);
+            assert_eq!(layer.reference_sensitive, 0, "serving must not compute the reference");
+            assert_eq!(layer.precision_loss_sum, 0.0);
+        }
     }
 
     #[test]

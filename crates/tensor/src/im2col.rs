@@ -65,6 +65,70 @@ pub fn im2col_into<T: Copy + Default>(input: &[T], g: &ConvGeom, col: &mut [T]) 
     }
 }
 
+/// Pixel-major lowering: the transpose of [`im2col`]'s layout.
+///
+/// Writes a row-major `[out_spatial, col_len]` matrix into `rows`: row `p`
+/// holds output pixel `p`'s receptive field in the same tap order as
+/// column `p` of [`im2col`], so a per-output reduction is one contiguous
+/// dot product against a `[C, K, K]` filter. Padded taps are
+/// `T::default()`.
+///
+/// # Panics
+/// Panics if `input` or `rows` have the wrong length.
+pub fn im2row_into<T: Copy + Default>(input: &[T], g: &ConvGeom, rows: &mut [T]) {
+    let (c, h, w, k, s, p) = (g.in_channels, g.in_h, g.in_w, g.kernel, g.stride, g.padding);
+    let (oh, ow) = (g.out_h(), g.out_w());
+    let col_len = g.col_len();
+    assert_eq!(input.len(), c * h * w, "input length mismatch");
+    assert_eq!(rows.len(), col_len * oh * ow, "rows buffer length mismatch");
+
+    // Zero-pad once so every tap read below is in bounds.
+    let (hp, wp) = (h + 2 * p, w + 2 * p);
+    let mut padded = vec![T::default(); c * hp * wp];
+    for (ci, src) in input.chunks_exact(h * w).enumerate() {
+        for (y, src_row) in src.chunks_exact(w).enumerate() {
+            let at = (ci * hp + y + p) * wp + p;
+            padded[at..at + w].copy_from_slice(src_row);
+        }
+    }
+    // One run of `k` taps per (pixel, channel, kernel row); fixed-size
+    // runs for the common kernels copy without a `memcpy` call per run.
+    for oy in 0..oh {
+        for ci in 0..c {
+            for ki in 0..k {
+                let src = &padded[(ci * hp + oy * s + ki) * wp..][..wp];
+                let dst = &mut rows[oy * ow * col_len + (ci * k + ki) * k..];
+                match k {
+                    1 => copy_runs::<T, 1>(src, dst, ow, s, col_len),
+                    3 => copy_runs::<T, 3>(src, dst, ow, s, col_len),
+                    5 => copy_runs::<T, 5>(src, dst, ow, s, col_len),
+                    _ => {
+                        for ox in 0..ow {
+                            dst[ox * col_len..][..k].copy_from_slice(&src[ox * s..][..k]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Copy `count` runs of `K` elements, read `stride` apart and written
+/// `pitch` apart.
+fn copy_runs<T: Copy, const K: usize>(
+    src: &[T],
+    dst: &mut [T],
+    count: usize,
+    stride: usize,
+    pitch: usize,
+) {
+    for i in 0..count {
+        let run: &[T; K] = src[i * stride..][..K].try_into().expect("run length is K");
+        let out: &mut [T; K] = (&mut dst[i * pitch..][..K]).try_into().expect("run length is K");
+        *out = *run;
+    }
+}
+
 /// Transpose of [`im2col`]: scatter-add a column matrix back into an image.
 ///
 /// Used by the convolution backward pass to turn the gradient w.r.t. the
@@ -175,6 +239,30 @@ mod tests {
         let lhs: f32 = ax.iter().zip(&y).map(|(a, b)| a * b).sum();
         let rhs: f32 = x.iter().zip(&aty).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "adjoint mismatch: {lhs} vs {rhs}");
+    }
+
+    #[test]
+    fn im2row_is_the_transpose_of_im2col() {
+        // Strides, padding wider than the kernel reach, 1x1 and non-square.
+        for g in [
+            ConvGeom::new(2, 1, 5, 4, 3, 2, 1),
+            ConvGeom::new(3, 1, 4, 4, 3, 1, 1),
+            ConvGeom::new(2, 1, 3, 5, 2, 3, 2),
+            ConvGeom::new(1, 1, 2, 2, 1, 1, 1),
+            ConvGeom::new(2, 1, 6, 6, 5, 1, 2),
+        ] {
+            let input: Vec<i16> =
+                (0..g.in_channels * g.in_h * g.in_w).map(|i| i as i16 + 1).collect();
+            let col = im2col(&input, &g);
+            let (len, spatial) = (g.col_len(), g.out_spatial());
+            let mut rows = vec![-1i16; len * spatial];
+            im2row_into(&input, &g, &mut rows);
+            for p in 0..spatial {
+                for t in 0..len {
+                    assert_eq!(rows[p * len + t], col[t * spatial + p], "{g:?} pixel {p} tap {t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //!   convolution paths.
 //! * [`im2col`] — image-to-column lowering (and its transpose `col2im`),
 //!   the lowering the paper's accelerator performs in its "Im2col/Pack engine"
-//!   (Fig. 12/17).
+//!   (Fig. 12/17), plus the pixel-major `im2row_into` the ODQ kernel uses.
 //! * [`gemm`] — rayon-parallel GEMM kernels for `f32` and for `i32`
 //!   accumulation over low-bitwidth integer operands.
 //! * [`conv`] — convolution / pooling forward and backward passes built on
 //!   im2col + GEMM.
 //! * [`stats`] — summary statistics (quantiles, moments) used for threshold
 //!   calibration.
-//! * [`workspace`] — reusable im2col scratch ([`ConvWorkspace`]) and the
+//! * [`workspace`] — reusable lowering scratch ([`ConvWorkspace`]) and the
 //!   [`WorkspacePool`] that batch-parallel conv drivers draw per-task
 //!   scratch from, replacing per-call column allocations.
 //!

@@ -4,9 +4,9 @@
 //! (im2col) before its GEMM. Allocating those columns per call dominated
 //! the hot path; a [`ConvWorkspace`] owns the buffers and re-sizes them to
 //! the current [`ConvGeom`], so a long-lived engine lowers into the same
-//! memory pass after pass. The ODQ path additionally derives the high/low
-//! bit planes of the lowered codes *in the column domain* — one im2col per
-//! (layer, image) feeds the predictor GEMM, the executor GEMMs and both
+//! memory pass after pass. The ODQ kernel lowers pixel-major instead and
+//! derives the high bit plane of the lowered codes in place — one lowering
+//! per (layer, image) feeds the predictor, the executor and both
 //! receptive-sum accumulators, mirroring the paper's accelerator where a
 //! single operand fetch drives every engine (Sec. 4).
 //!
@@ -20,17 +20,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::im2col::im2col_into;
+use crate::im2col::{im2col_into, im2row_into};
 use crate::shape::ConvGeom;
 
 /// Scratch buffers for one in-flight image: float and integer column
-/// matrices plus the derived high/low bit-plane columns.
+/// matrices, plus the pixel-major code rows and their high bit plane.
 #[derive(Default)]
 pub struct ConvWorkspace {
     col_f: Vec<f32>,
     col_i: Vec<i16>,
-    col_hi: Vec<i16>,
-    col_lo: Vec<i16>,
+    rows_i: Vec<i16>,
+    rows_hi: Vec<i16>,
     lowerings: u64,
 }
 
@@ -58,33 +58,29 @@ impl ConvWorkspace {
         &self.col_i
     }
 
-    /// Lower an integer-code image **once** and derive its high/low bit
-    /// planes in the column domain: `hi = c >> low_bits` (arithmetic) and
-    /// `lo = c & ((1 << low_bits) - 1)`.
+    /// Lower an integer-code image pixel-major ([`im2row_into`]: one
+    /// contiguous `col_len` row per output pixel) and derive the high bit
+    /// plane of every tap, `c >> low_bits` (arithmetic).
     ///
-    /// This is exact: zero-padded taps split to `(0, 0)`, so the derived
-    /// columns equal what lowering pre-split plane tensors would produce,
-    /// while performing a third of the im2col traffic. Returns
-    /// `(codes, high, low)` column slices; only one lowering is counted.
-    pub fn lower_i16_split(
+    /// Exact: zero-padded taps shift to 0, so the high rows equal what
+    /// lowering a pre-split high-plane tensor would produce. Returns
+    /// `(codes, high)` row matrices; only one lowering is counted.
+    pub fn lower_i16_rows(
         &mut self,
         input: &[i16],
         g: &ConvGeom,
         low_bits: u8,
-    ) -> (&[i16], &[i16], &[i16]) {
+    ) -> (&[i16], &[i16]) {
         let len = g.col_len() * g.out_spatial();
-        self.col_i.resize(len, 0);
-        im2col_into(input, g, &mut self.col_i);
+        self.rows_i.resize(len, 0);
+        im2row_into(input, g, &mut self.rows_i);
         self.lowerings += 1;
 
-        self.col_hi.resize(len, 0);
-        self.col_lo.resize(len, 0);
-        let mask = (1i16 << low_bits) - 1;
-        for ((c, h), l) in self.col_i.iter().zip(&mut self.col_hi).zip(&mut self.col_lo) {
+        self.rows_hi.resize(len, 0);
+        for (h, &c) in self.rows_hi.iter_mut().zip(&self.rows_i) {
             *h = c >> low_bits;
-            *l = c & mask;
         }
-        (&self.col_i, &self.col_hi, &self.col_lo)
+        (&self.rows_i, &self.rows_hi)
     }
 
     /// Lowerings performed since construction or the last take.
@@ -157,17 +153,18 @@ mod tests {
     }
 
     #[test]
-    fn split_columns_match_splitting_before_lowering() {
+    fn high_rows_match_splitting_before_lowering() {
         let g = ConvGeom::new(2, 2, 4, 4, 3, 1, 1);
         let input: Vec<i16> = (0..2 * 16).map(|i| (i as i16 % 31) - 15).collect();
         let mut ws = ConvWorkspace::new();
-        let (codes, hi, lo) = ws.lower_i16_split(&input, &g, 2);
+        let (codes, hi) = ws.lower_i16_rows(&input, &g, 2);
 
         let pre_hi: Vec<i16> = input.iter().map(|&c| c >> 2).collect();
-        let pre_lo: Vec<i16> = input.iter().map(|&c| c & 3).collect();
-        assert_eq!(codes, im2col(&input, &g).as_slice());
-        assert_eq!(hi, im2col(&pre_hi, &g).as_slice());
-        assert_eq!(lo, im2col(&pre_lo, &g).as_slice());
+        let mut expect = vec![0i16; codes.len()];
+        im2row_into(&input, &g, &mut expect);
+        assert_eq!(codes, expect.as_slice());
+        im2row_into(&pre_hi, &g, &mut expect);
+        assert_eq!(hi, expect.as_slice());
         assert_eq!(ws.lowerings(), 1, "plane derivation must not count as a lowering");
     }
 

@@ -1,15 +1,17 @@
 //! Property-based tests on the core invariants of the reproduction.
 
+use odq::core::odq_conv::odq_conv2d_planned;
 use odq::core::{odq_conv2d, OdqCfg};
+use odq::nn::executor::add_bias;
 use odq::quant::plan::{PlanSpec, QConvPlan};
-use odq::quant::qconv::{
-    combine_planes, qconv2d, qconv2d_codes, qconv2d_planes, qconv2d_planes_fused, qconv2d_with,
-    receptive_sums,
-};
+use odq::quant::qconv::{qconv2d, qconv2d_codes, qconv2d_with, receptive_sums};
 use odq::quant::{join_planes, quantize_activation, quantize_weights, split_codes, split_qtensor};
 use odq::tensor::im2col::{col2im, im2col};
 use odq::tensor::workspace::WorkspacePool;
 use odq::tensor::{ConvGeom, Tensor};
+use odq_conformance::oracle::ref_odq_conv2d;
+use odq_conformance::runner::{gen_bias, gen_input, gen_weights};
+use odq_conformance::LayerSpecStrategy;
 use proptest::prelude::*;
 
 fn pseudo_unit(n: usize, seed: u32) -> Vec<f32> {
@@ -83,9 +85,18 @@ proptest! {
         let qx = quantize_activation(&Tensor::from_vec(g.input_shape(1), xs), 4, 1.0);
         let qw = quantize_weights(&Tensor::from_vec(g.weight_shape(), ws), 4);
         let full = qconv2d_codes(&qx.codes, &qw.codes, &g);
-        let xp = split_qtensor(&qx, 2);
-        let wp = split_qtensor(&qw, 2);
-        let rec = combine_planes(&qconv2d_planes(&xp, &wp, &g));
+        let (xp, wp) = (split_qtensor(&qx, 2), split_qtensor(&qw, 2));
+        let hh = qconv2d_codes(&xp.high, &wp.high, &g);
+        let hl = qconv2d_codes(&xp.high, &wp.low, &g);
+        let lh = qconv2d_codes(&xp.low, &wp.high, &g);
+        let ll = qconv2d_codes(&xp.low, &wp.low, &g);
+        let rec: Vec<i32> = (0..full.numel())
+            .map(|i| {
+                let (hh, hl, lh, ll) =
+                    (hh.as_slice()[i], hl.as_slice()[i], lh.as_slice()[i], ll.as_slice()[i]);
+                (hh << 4) + ((hl + lh) << 2) + ll
+            })
+            .collect();
         prop_assert_eq!(full.as_slice(), rec.as_slice());
     }
 
@@ -246,42 +257,9 @@ proptest! {
         prop_assert_eq!(fresh.as_slice(), b.as_slice());
     }
 
-    /// The fused single-lowering ODQ kernel reproduces the unfused
-    /// pipeline (pre-split planes + separate receptive sums) exactly, and
-    /// performs exactly one lowering per image.
-    #[test]
-    fn fused_planes_match_unfused_pipeline(
-        seed in 0u32..500,
-        n in 1usize..4,
-        channels in 1usize..3,
-        filters in 1usize..4,
-        low_bits in 1u8..=3,
-    ) {
-        let g = ConvGeom::new(channels, filters, 6, 6, 3, 1, 1);
-        let x = Tensor::from_vec(g.input_shape(n), pseudo_unit(n * channels * 36, seed));
-        let w = Tensor::from_vec(g.weight_shape(), pseudo_signed(filters * channels * 9, seed));
-        let qx = quantize_activation(&x, 4, 1.0);
-        let qw = quantize_weights(&w, 4);
-        let xp = split_qtensor(&qx, low_bits);
-        let wp = split_qtensor(&qw, low_bits);
-        let unfused = qconv2d_planes(&xp, &wp, &g);
-        let sa = receptive_sums(&qx.codes, &g);
-        let sa_h = receptive_sums(&xp.high, &g);
-
-        let pool = WorkspacePool::new();
-        let fused = qconv2d_planes_fused(&qx.codes, &wp, &g, &pool);
-        prop_assert_eq!(fused.planes.hh.as_slice(), unfused.hh.as_slice());
-        prop_assert_eq!(fused.planes.hl.as_slice(), unfused.hl.as_slice());
-        prop_assert_eq!(fused.planes.lh.as_slice(), unfused.lh.as_slice());
-        prop_assert_eq!(fused.planes.ll.as_slice(), unfused.ll.as_slice());
-        prop_assert_eq!(fused.sa.as_slice(), sa.as_slice());
-        prop_assert_eq!(fused.sa_h.as_slice(), sa_h.as_slice());
-        prop_assert_eq!(pool.lowerings(), n as u64);
-    }
-
-    /// The planned ODQ kernel (prepacked weights, single lowering) is
-    /// bit-identical to the per-call seed kernel for any geometry, batch
-    /// size and threshold.
+    /// The planned per-call kernel (prepacked weights, single lowering)
+    /// agrees with the per-call wrapper for any geometry, batch size and
+    /// threshold, through one pool reused across calls.
     #[test]
     fn planned_odq_conv_bit_identical_to_seed(
         seed in 0u32..500,
@@ -299,10 +277,59 @@ proptest! {
         let plan = QConvPlan::build(&w, PlanSpec::odq(cfg.w_bits, cfg.low_bits));
         let pool = WorkspacePool::new();
         let qx = quantize_activation(&x, cfg.a_bits, cfg.a_clip);
-        let planned = odq::core::odq_conv::odq_conv2d_planned(&qx, &plan, None, &g, &cfg, &pool);
-        prop_assert_eq!(seed_out.output.as_slice(), planned.output.as_slice());
-        prop_assert_eq!(seed_out.reference.as_slice(), planned.reference.as_slice());
-        prop_assert_eq!(seed_out.mask, planned.mask);
+        for _ in 0..2 {
+            let planned = odq_conv2d_planned(&qx, &plan, None, &g, &cfg, &pool);
+            prop_assert_eq!(seed_out.output.as_slice(), planned.output.as_slice());
+            prop_assert_eq!(&seed_out.mask, &planned.mask);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The planned ODQ kernel matches the scalar oracle bit for bit — the
+    /// output and the mask — at density 1 (threshold 0), at the spec's
+    /// threshold, and at density 0 (threshold +∞), with one lowering per
+    /// image.
+    #[test]
+    fn planned_odq_kernel_matches_scalar_oracle(spec in LayerSpecStrategy::default()) {
+        let g = spec.geom;
+        let (x, w, bias) = (gen_input(&spec), gen_weights(&spec), gen_bias(&spec));
+        let plan = QConvPlan::build(&w, PlanSpec::odq(4, 2));
+        let pool = WorkspacePool::new();
+        for thr in [0.0, spec.odq_threshold(), f32::INFINITY] {
+            let cfg = OdqCfg::int4(thr);
+            let oracle =
+                ref_odq_conv2d(x.as_slice(), w.as_slice(), bias.as_deref(), spec.batch, &g, &cfg);
+            let qx = quantize_activation(&x, cfg.a_bits, cfg.a_clip);
+            pool.reset_lowerings();
+            let r = odq_conv2d_planned(&qx, &plan, bias.as_deref(), &g, &cfg, &pool);
+            prop_assert_eq!(pool.lowerings(), spec.batch as u64);
+            let bits: Vec<u32> = r.output.as_slice().iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = oracle.output.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(bits, want, "output at threshold {}", thr);
+            prop_assert_eq!(r.mask.bits(), oracle.mask.as_slice(), "mask at threshold {}", thr);
+        }
+    }
+
+    /// The per-call wrapper's INT4 reference is the static quantized conv
+    /// over the same operands plus bias, bit for bit.
+    #[test]
+    fn per_call_reference_is_qconv_plus_bias(spec in LayerSpecStrategy::default()) {
+        let g = spec.geom;
+        let (x, w, bias) = (gen_input(&spec), gen_weights(&spec), gen_bias(&spec));
+        let cfg = OdqCfg::int4(spec.odq_threshold());
+        let r = odq_conv2d(&x, &w, bias.as_deref(), &g, &cfg);
+        let qx = quantize_activation(&x, cfg.a_bits, cfg.a_clip);
+        let qw = quantize_weights(&w, cfg.w_bits);
+        let mut want = qconv2d_with(&qx, &qw, &g, &WorkspacePool::new());
+        if let Some(b) = &bias {
+            add_bias(&mut want, b, &g);
+        }
+        let bits: Vec<u32> = r.reference.as_slice().iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = want.as_slice().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(bits, want);
     }
 }
 
