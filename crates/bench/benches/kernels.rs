@@ -1,12 +1,13 @@
 //! Microbenchmarks for the compute kernels underlying every experiment:
-//! float/integer GEMM, im2col and pixel-major lowering, quantization, and
-//! the planned vs per-call ODQ convolution.
+//! float GEMM, the integer conv driver, im2col and pixel-major lowering,
+//! quantization, and the planned vs per-call ODQ convolution.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use odq_core::{odq_conv2d, odq_conv2d_planned, OdqCfg};
 use odq_quant::plan::{PlanSpec, QConvPlan};
+use odq_quant::qconv::qconv2d_products;
 use odq_quant::quantize_activation;
-use odq_tensor::gemm::{gemm_f32, gemm_i16_i32};
+use odq_tensor::gemm::gemm_f32;
 use odq_tensor::im2col::{im2col, im2row_into};
 use odq_tensor::workspace::WorkspacePool;
 use odq_tensor::{ConvGeom, Tensor};
@@ -20,11 +21,14 @@ fn bench_gemm(c: &mut Criterion) {
         bch.iter(|| gemm_f32(&a_f, &b_f, &mut c_f, m, k, n))
     });
 
-    let a_i: Vec<i16> = (0..m * k).map(|i| (i % 15) as i16).collect();
-    let b_i: Vec<i16> = (0..k * n).map(|i| (i % 15) as i16).collect();
-    let mut c_i = vec![0i32; m * n];
-    c.bench_function("gemm_i16_i32 64x144x256", |bch| {
-        bch.iter(|| gemm_i16_i32(&a_i, &b_i, &mut c_i, m, k, n))
+    // The same multiply-accumulate shape as an integer conv: 64 filters
+    // over 144-tap rows (16 channels, 3x3) at 256 pixels (16x16).
+    let g = ConvGeom::new(16, 64, 16, 16, 3, 1, 1);
+    let x = Tensor::from_vec(g.input_shape(1), (0..16 * 256).map(|i| (i % 15) as i16).collect());
+    let w: Vec<i16> = (0..m * k).map(|i| (i % 15) as i16).collect();
+    let pool = WorkspacePool::new();
+    c.bench_function("qconv2d_products i32 64x144x256", |bch| {
+        bch.iter(|| qconv2d_products::<i32>(&x, &w, &g, &pool))
     });
 }
 

@@ -1,13 +1,14 @@
 //! Throughput benchmark for the plan/workspace convolution path: batched
-//! ResNet-20 forward passes under the Float, static INT4, and ODQ engines,
-//! reported as images/second.
+//! ResNet-20 forward passes under the Float, static INT4, ODQ and DRQ
+//! engines, reported as images/second.
 //!
 //! Writes `results/bench_conv_plan_<tag>.json`; the committed
 //! `BENCH_conv_plan.json` at the repo root holds medians of interleaved
 //! runs of a change (`after`) and its parent commit (`parent`) on the same
 //! machine, plus the historical pre-refactor `before`. ODQ runs the one
 //! planned kernel with recording off, as serving does apart from its mask
-//! counts.
+//! counts; DRQ (the INT8-INT4 pair) runs its planned kernel with recording
+//! off.
 //!
 //! Usage: `bench_conv_plan [tag] [batch] [reps]` (defaults: run, 16, 6).
 
@@ -15,6 +16,7 @@ use std::time::Instant;
 
 use odq_core::engine::OdqEngine;
 use odq_data::SynthSpec;
+use odq_drq::{DrqCfg, DrqEngine};
 use odq_nn::executor::{ConvExecutor, FloatConvExecutor, StaticQuantExecutor};
 use odq_nn::models::{Model, ModelCfg};
 use odq_nn::Arch;
@@ -54,6 +56,10 @@ fn main() {
     odq.record = false;
     let ips_odq = time_forward(&model, x, &mut odq, reps);
     results.push(("odq", ips_odq));
+    let mut drq = DrqEngine::new(DrqCfg::int8_int4(0.1));
+    drq.record = false;
+    let ips_drq = time_forward(&model, x, &mut drq, reps);
+    results.push(("drq", ips_drq));
 
     println!("ResNet-20 forward throughput (batch {batch}, {reps} reps), images/sec:");
     for (name, ips) in &results {
@@ -68,6 +74,7 @@ fn main() {
             "float": ips_float,
             "int4": ips_int4,
             "odq": ips_odq,
+            "drq": ips_drq,
         },
     });
     odq_bench::write_json(&format!("bench_conv_plan_{tag}"), &json);

@@ -247,8 +247,9 @@ pub fn ref_filter_code_sums(w: &[i16], out_channels: usize) -> Vec<i32> {
 /// Affine-dequantized integer convolution
 /// `y = s_a·s_w · (Σ a·n − z_w · Σ a)` — the scalar counterpart of
 /// `odq_quant::qconv::qconv2d`. The f32 expression matches the engine's
-/// `fill_affine` operation order (`s · (p − z_w·Σa)` with the integer
-/// product converted to f32 first), so results are bit-exact.
+/// operation order (`s · (p − z_w·Σa)` with the integer product converted
+/// to f32 first; with `z_w = 0` the correction is `+0.0`), so results are
+/// bit-exact.
 pub fn ref_qconv2d_affine(x: &RefQuant, w: &RefQuant, n: usize, g: &ConvGeom) -> Vec<f32> {
     let s = x.scale * w.scale;
     let zw = w.zero;

@@ -267,16 +267,18 @@ pub fn run_layer_diff(spec: &LayerSpec) -> DiffReport {
     let y = FloatConvExecutor.conv(&ctx, &x);
     paths.push(report("float/executor", PathClass::Float, &oracle_f32, y.as_slice(), 0));
 
-    // --- static INT8 (offset-binary weights, i32 accumulation) ----------
-    let oracle_s8 = {
+    // --- static: 8-bit activations against offset-binary INT8 (i32
+    // accumulation), offset-binary 9-bit (i64 with a zero point) and
+    // symmetric INT16 (i64) weights — both sides of the cutover ---------
+    let static_oracle = |qw: RefQuant| {
         let qx = ref_quantize_activation(x.as_slice(), 8, 1.0);
-        let qw = ref_quantize_weights(w.as_slice(), 8);
         let mut o = ref_qconv2d_affine(&qx, &qw, n, &g);
         if let Some(b) = bias {
             ref_add_bias(&mut o, b, n, &g);
         }
         o
     };
+    let oracle_s8 = static_oracle(ref_quantize_weights(w.as_slice(), 8));
     let qx = quantize_activation(&x, 8, 1.0);
     let qw = quantize_weights(&w, 8);
     let with_b = |mut y: Tensor| {
@@ -294,16 +296,13 @@ pub fn run_layer_diff(spec: &LayerSpec) -> DiffReport {
     let y = StaticQuantExecutor::int(8).conv(&ctx, &x);
     paths.push(report("static8/executor", PathClass::Integer, &oracle_s8, y.as_slice(), 0));
 
-    // --- static INT16 (symmetric weights, i64 accumulation path) --------
-    let oracle_s16 = {
-        let qx = ref_quantize_activation(x.as_slice(), 8, 1.0);
-        let qw = ref_quantize_weights_symmetric(w.as_slice(), 16);
-        let mut o = ref_qconv2d_affine(&qx, &qw, n, &g);
-        if let Some(b) = bias {
-            ref_add_bias(&mut o, b, n, &g);
-        }
-        o
-    };
+    let oracle_s9 = static_oracle(ref_quantize_weights(w.as_slice(), 9));
+    let y = with_b(qconv2d(&qx, &quantize_weights(&w, 9), &g));
+    paths.push(report("static9/qconv2d-wide", PathClass::Integer, &oracle_s9, y.as_slice(), 0));
+    let y = StaticQuantExecutor::with_bits(9, 8, 1.0).conv(&ctx, &x);
+    paths.push(report("static9/executor", PathClass::Integer, &oracle_s9, y.as_slice(), 0));
+
+    let oracle_s16 = static_oracle(ref_quantize_weights_symmetric(w.as_slice(), 16));
     let qw16 = quantize_weights_symmetric(&w, 16);
     let y = with_b(qconv2d(&qx, &qw16, &g));
     paths.push(report("static16/qconv2d-wide", PathClass::Integer, &oracle_s16, y.as_slice(), 0));

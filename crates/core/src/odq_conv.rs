@@ -4,6 +4,7 @@ use odq_quant::plan::{PlanSpec, QConvPlan};
 use odq_quant::predict::odq_estimate_precomputed;
 use odq_quant::qconv::qconv2d;
 use odq_quant::{quantize_activation, QTensor};
+use odq_tensor::gemm::dot_i16;
 use odq_tensor::workspace::WorkspacePool;
 use odq_tensor::{ConvGeom, Tensor};
 use rayon::prelude::*;
@@ -142,7 +143,7 @@ pub fn odq_conv2d_planned(
     let images = out.par_chunks_mut(chunk).zip(bits.par_chunks_mut(chunk)).enumerate();
     images.for_each(|(img, (out, bits))| {
         pool.with(|wk| {
-            let (rows, rows_h) = wk.lower_i16_rows(qx.codes.outer(img), g, cfg.low_bits);
+            let (rows, rows_h) = wk.lower_i16_planes(qx.codes.outer(img), g, cfg.low_bits);
             // Predictor: `HH` for every output, `Σ a_H` and `Σ a` per pixel.
             let mut hh = vec![0i32; per_img];
             for (w_f, hh_f) in w_high.chunks_exact(col_len).zip(hh.chunks_exact_mut(spatial)) {
@@ -191,22 +192,6 @@ pub fn odq_conv2d_planned(
         add_bias(&mut output, b, g);
     }
     OdqConvOutput { output, mask: SensitivityMask::new(n, co, spatial, bits) }
-}
-
-/// Exact `Σ a·b` over two equal-length code rows. Sixteen independent lane
-/// accumulators let the widening multiply-adds vectorize on the baseline
-/// target; integer addition is associative, so the order is immaterial.
-fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
-    let (ca, cb) = (a.chunks_exact(16), b.chunks_exact(16));
-    let tail: i32 =
-        ca.remainder().iter().zip(cb.remainder()).map(|(&x, &y)| x as i32 * y as i32).sum();
-    let mut acc = [0i32; 16];
-    for (x, y) in ca.zip(cb) {
-        for ((s, &x), &y) in acc.iter_mut().zip(x).zip(y) {
-            *s += x as i32 * y as i32;
-        }
-    }
-    acc.iter().sum::<i32>() + tail
 }
 
 #[cfg(test)]

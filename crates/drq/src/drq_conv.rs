@@ -1,11 +1,11 @@
 //! The DRQ mixed-precision convolution.
 
 use odq_nn::executor::add_bias;
-use odq_quant::plan::QConvPlan;
+use odq_quant::plan::{PlanSpec, QConvPlan};
 use odq_quant::qconv::{
-    qconv2d_codes, qconv2d_codes_with_sums, receptive_sums, requant_step, requantize_codes,
+    needs_i64, qconv2d, qconv2d_products, requant_step, requantize_codes, CodeAcc,
 };
-use odq_quant::{quantize_activation, quantize_weights};
+use odq_quant::{quantize_activation, QTensor};
 use odq_tensor::workspace::WorkspacePool;
 use odq_tensor::{ConvGeom, Tensor};
 
@@ -102,12 +102,56 @@ pub fn region_sensitivity_mask(x: &Tensor, region: usize, threshold: f32) -> Vec
     mask
 }
 
-/// Run a DRQ mixed-precision convolution.
+/// Per-call DRQ convolution over float weights: builds a throwaway
+/// [`QConvPlan`], runs [`drq_conv2d_planned`], and adds the instrumentation
+/// the motivation study reads — each output's low-precision share and the
+/// all-HP / all-LP reference convolutions.
+pub fn drq_conv2d(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&[f32]>,
+    g: &ConvGeom,
+    cfg: &DrqCfg,
+) -> DrqConvOutput {
+    let plan = QConvPlan::build(w, PlanSpec::drq(cfg.hi_bits, cfg.lo_bits));
+    let DrqPlanned { output, input_mask } =
+        drq_conv2d_planned(x, &plan, bias, g, cfg, &WorkspacePool::new());
+
+    // References: everything high precision / everything low precision,
+    // the latter on the coarse grid with the same scale and zero point.
+    let qx = quantize_activation(x, cfg.hi_bits, cfg.a_clip);
+    let coarse = |codes: Tensor<i16>, like: &QTensor| QTensor { codes, ..*like };
+    let qx_lo = coarse(requantize_codes(&qx.codes, cfg.step()), &qx);
+    let qw_lo = coarse(plan.w_lo.clone().expect("DRQ plan has low-precision weights"), &plan.qw);
+    let mut reference_hp = qconv2d(&qx, &plan.qw, g);
+    let mut reference_lp = qconv2d(&qx_lo, &qw_lo, g);
+    if let Some(b) = bias {
+        add_bias(&mut reference_hp, b, g);
+        add_bias(&mut reference_lp, b, g);
+    }
+
+    let lp_share = lp_share_per_output(&input_mask, g, x.dims()[0]);
+    DrqConvOutput { output, input_mask, lp_share, reference_hp, reference_lp }
+}
+
+/// The planned DRQ kernel's result: what the engine's serving path
+/// consumes. The instrumented references ([`DrqConvOutput::reference_hp`]
+/// etc.) are added by the per-call [`drq_conv2d`].
+pub struct DrqPlanned {
+    /// Mixed-precision outputs, dequantized, `[N, Co, OH, OW]`.
+    pub output: Tensor,
+    /// Per-input-feature sensitivity (true = high precision).
+    pub input_mask: Vec<bool>,
+}
+
+/// The DRQ mixed-precision convolution over a prepacked plan (quantized and
+/// requantized weights built once per weight version) and a shared
+/// workspace pool.
 ///
-/// Decomposition: quantize input and weights at `hi_bits` (offset-binary
-/// weights, zero point `z_w`); requantize codes onto the `lo_bits` grid on
-/// the insensitive path (input *and* weight, per the paper's description
-/// of low-precision computation); then
+/// Decomposition: quantize the input at `hi_bits` (the plan holds the
+/// offset-binary weights, zero point `z_w`); requantize codes onto the
+/// `lo_bits` grid on the insensitive path (input *and* weight, per the
+/// paper's description of low-precision computation); then
 ///
 /// ```text
 /// out = s · [ conv(x_sens, n) + conv(x_insens_lo, n_lo) − z_w · Σa ]
@@ -116,105 +160,8 @@ pub fn region_sensitivity_mask(x: &Tensor, region: usize, threshold: f32) -> Vec
 /// where `x_sens` holds codes only at sensitive positions (zeros
 /// elsewhere) and vice versa. The coarse grid embeds exactly into the fine
 /// one (same scale and zero point), so the mixed sum needs no rescaling.
-pub fn drq_conv2d(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    g: &ConvGeom,
-    cfg: &DrqCfg,
-) -> DrqConvOutput {
-    let n = x.dims()[0];
-    let qx = quantize_activation(x, cfg.hi_bits, cfg.a_clip);
-    let qw = quantize_weights(w, cfg.hi_bits);
-    let scale = qx.scale * qw.scale;
-    let zw = qw.zero;
-    let step = cfg.step();
-
-    let input_mask = region_sensitivity_mask(x, cfg.region, cfg.input_threshold);
-
-    // Split input codes by sensitivity; requantize the insensitive part.
-    let codes = qx.codes.as_slice();
-    let mut x_hi = vec![0i16; codes.len()];
-    let mut x_lo = vec![0i16; codes.len()];
-    for (i, (&c, &m)) in codes.iter().zip(&input_mask).enumerate() {
-        if m {
-            x_hi[i] = c;
-        } else {
-            x_lo[i] = ((c as f32 / step as f32).round() as i16) * step;
-        }
-    }
-    let x_hi = Tensor::from_vec(qx.codes.shape().clone(), x_hi);
-    let x_lo = Tensor::from_vec(qx.codes.shape().clone(), x_lo);
-
-    // Requantized weights for the low-precision path.
-    let w_lo = requantize_codes(&qw.codes, step);
-
-    let y_hi = qconv2d_codes(&x_hi, &qw.codes, g);
-    let y_lo = qconv2d_codes(&x_lo, &w_lo, g);
-    let sa_hi = receptive_sums(&x_hi, g);
-    let sa_lo = receptive_sums(&x_lo, g);
-
-    // Shared affine dequantization: y = scale * (codes − z_w · Σa).
-    let dequant = |codes: &[i32], sa: &[i32]| -> Tensor {
-        let spatial = g.out_spatial();
-        let co = g.out_channels;
-        let mut t = Tensor::zeros(g.output_shape(n));
-        let o = t.as_mut_slice();
-        for img in 0..n {
-            for f in 0..co {
-                let base = (img * co + f) * spatial;
-                for sp in 0..spatial {
-                    o[base + sp] =
-                        scale * (codes[base + sp] as f32 - zw * sa[img * spatial + sp] as f32);
-                }
-            }
-        }
-        t
-    };
-
-    let mixed_codes: Vec<i32> =
-        y_hi.as_slice().iter().zip(y_lo.as_slice()).map(|(a, b)| a + b).collect();
-    let sa_mixed: Vec<i32> =
-        sa_hi.as_slice().iter().zip(sa_lo.as_slice()).map(|(a, b)| a + b).collect();
-    let mut out = dequant(&mixed_codes, &sa_mixed);
-
-    // References: everything high precision / everything low precision.
-    let mut reference_hp = odq_quant::qconv::qconv2d(&qx, &qw, g);
-    let x_all_lo = requantize_codes(&qx.codes, step);
-    let ref_lp_codes = qconv2d_codes(&x_all_lo, &w_lo, g);
-    let sa_all_lo = receptive_sums(&x_all_lo, g);
-    let mut reference_lp = dequant(ref_lp_codes.as_slice(), sa_all_lo.as_slice());
-
-    // Low-precision share of each output's receptive field.
-    let lp_share = lp_share_per_output(&input_mask, g, n);
-
-    if let Some(b) = bias {
-        add_bias(&mut out, b, g);
-        add_bias(&mut reference_hp, b, g);
-        add_bias(&mut reference_lp, b, g);
-    }
-
-    DrqConvOutput { output: out, input_mask, lp_share, reference_hp, reference_lp }
-}
-
-/// The planned DRQ forward's result: just what the engine's serving path
-/// consumes. The instrumented references ([`DrqConvOutput::reference_hp`]
-/// etc.) stay on the unplanned [`drq_conv2d`].
-pub struct DrqPlanned {
-    /// Mixed-precision outputs, dequantized, `[N, Co, OH, OW]`.
-    pub output: Tensor,
-    /// Per-input-feature sensitivity (true = high precision).
-    pub input_mask: Vec<bool>,
-}
-
-/// [`drq_conv2d`] over a prepacked plan (quantized + requantized weights
-/// built once per weight version) and a shared workspace pool. Skips the
-/// all-HP/all-LP reference convolutions — the engine's forward path never
-/// reads them — and fuses each path's products with its receptive sums so
-/// both precision branches lower each image exactly once.
-///
-/// Bit-identical to [`drq_conv2d`]'s `output`/`input_mask`: the same
-/// code-domain splits, GEMM reduction orders and affine dequantization.
+/// Each precision path lowers each image once and computes its products
+/// and receptive sums from that lowering.
 ///
 /// # Panics
 /// Panics if the plan lacks requantized low-precision weights or its bit
@@ -228,12 +175,7 @@ pub fn drq_conv2d_planned(
     pool: &WorkspacePool,
 ) -> DrqPlanned {
     assert_eq!(plan.spec.w_bits, cfg.hi_bits, "plan bit width mismatch");
-    let w_lo = plan.w_lo.as_ref().expect("plan lacks DRQ low-precision weights");
-    let qw = &plan.qw;
-    let n = x.dims()[0];
     let qx = quantize_activation(x, cfg.hi_bits, cfg.a_clip);
-    let scale = qx.scale * qw.scale;
-    let zw = qw.zero;
     let step = cfg.step();
 
     let input_mask = region_sensitivity_mask(x, cfg.region, cfg.input_threshold);
@@ -251,31 +193,44 @@ pub fn drq_conv2d_planned(
     let x_hi = Tensor::from_vec(qx.codes.shape().clone(), x_hi);
     let x_lo = Tensor::from_vec(qx.codes.shape().clone(), x_lo);
 
-    let (y_hi, sa_hi) = qconv2d_codes_with_sums(&x_hi, &qw.codes, g, pool);
-    let (y_lo, sa_lo) = qconv2d_codes_with_sums(&x_lo, w_lo, g, pool);
-
-    let spatial = g.out_spatial();
-    let co = g.out_channels;
-    let mut out = Tensor::zeros(g.output_shape(n));
-    {
-        let o = out.as_mut_slice();
-        let (yh, yl) = (y_hi.as_slice(), y_lo.as_slice());
-        let (sh, sl) = (sa_hi.as_slice(), sa_lo.as_slice());
-        for img in 0..n {
-            for f in 0..co {
-                let base = (img * co + f) * spatial;
-                for sp in 0..spatial {
-                    let code = (yh[base + sp] + yl[base + sp]) as f32;
-                    let sa = (sh[img * spatial + sp] + sl[img * spatial + sp]) as f32;
-                    o[base + sp] = scale * (code - zw * sa);
-                }
-            }
-        }
-    }
+    let scale = qx.scale * plan.qw.scale;
+    let mut out = if needs_i64(cfg.hi_bits, cfg.hi_bits) {
+        mix_paths::<i64>(&x_hi, &x_lo, plan, scale, g, pool)
+    } else {
+        mix_paths::<i32>(&x_hi, &x_lo, plan, scale, g, pool)
+    };
     if let Some(b) = bias {
         add_bias(&mut out, b, g);
     }
     DrqPlanned { output: out, input_mask }
+}
+
+/// `s · (Σ a_hi·n + Σ a_lo·n_lo − z_w · (Σ a_hi + Σ a_lo))`: the two
+/// precision paths' products against the plan's fine and coarse weights.
+fn mix_paths<T: CodeAcc>(
+    x_hi: &Tensor<i16>,
+    x_lo: &Tensor<i16>,
+    plan: &QConvPlan,
+    scale: f32,
+    g: &ConvGeom,
+    pool: &WorkspacePool,
+) -> Tensor {
+    let w_lo = plan.w_lo.as_ref().expect("plan lacks DRQ low-precision weights");
+    let (y_hi, sa_hi) = qconv2d_products::<T>(x_hi, plan.qw.codes.as_slice(), g, pool);
+    let (y_lo, sa_lo) = qconv2d_products::<T>(x_lo, w_lo.as_slice(), g, pool);
+    let (spatial, co, zw) = (g.out_spatial(), g.out_channels, plan.qw.zero);
+    let mut out = Tensor::zeros(y_hi.shape().clone());
+    let (sh, sl) = (sa_hi.as_slice(), sa_lo.as_slice());
+    let planes = out.as_mut_slice().chunks_exact_mut(spatial);
+    let products = y_hi.as_slice().chunks_exact(spatial).zip(y_lo.as_slice().chunks_exact(spatial));
+    for (plane, (o_f, (yh, yl))) in planes.zip(products).enumerate() {
+        let sums = sh[plane / co * spatial..].iter().zip(&sl[plane / co * spatial..]);
+        for (((o, &yh), &yl), (&sh, &sl)) in o_f.iter_mut().zip(yh).zip(yl).zip(sums) {
+            let code = (yh.into() + yl.into()) as f32;
+            *o = scale * (code - zw * (sh + sl) as f32);
+        }
+    }
+    out
 }
 
 /// For every output spatial position, the fraction of its receptive-field
@@ -406,20 +361,57 @@ mod tests {
     }
 
     #[test]
-    fn planned_matches_unplanned_bit_exact() {
-        use odq_quant::plan::PlanSpec;
+    fn planned_kernel_lowers_once_per_path_and_image() {
         let (x, w, g) = setup();
-        let bias = vec![0.5f32, -0.25, 0.0, 1.0];
         for cfg in [DrqCfg::int8_int4(0.45), DrqCfg::int4_int2(0.4)] {
-            let seed = drq_conv2d(&x, &w, Some(&bias), &g, &cfg);
             let plan = QConvPlan::build(&w, PlanSpec::drq(cfg.hi_bits, cfg.lo_bits));
             let pool = WorkspacePool::new();
-            let planned = drq_conv2d_planned(&x, &plan, Some(&bias), &g, &cfg, &pool);
-            assert_eq!(planned.output.as_slice(), seed.output.as_slice(), "outputs bit-equal");
-            assert_eq!(planned.input_mask, seed.input_mask);
+            drq_conv2d_planned(&x, &plan, None, &g, &cfg, &pool);
             // One lowering per (precision path, image) for a batch of 2.
             assert_eq!(pool.lowerings(), 4);
         }
+    }
+
+    #[test]
+    fn references_are_dequantized_code_convs() {
+        use odq_quant::qconv::{qconv2d_codes, receptive_sums};
+        use odq_quant::quantize_weights;
+        let (x, w, g) = setup();
+        let bias = vec![0.5f32, -0.25, 0.0, 1.0];
+        for cfg in [DrqCfg::int8_int4(0.45), DrqCfg::int4_int2(0.4)] {
+            let r = drq_conv2d(&x, &w, Some(&bias), &g, &cfg);
+            let qx = quantize_activation(&x, cfg.hi_bits, cfg.a_clip);
+            let qw = quantize_weights(&w, cfg.hi_bits);
+            let s = qx.scale * qw.scale;
+            let lo = |c: &Tensor<i16>| requantize_codes(c, cfg.step());
+            for (xc, wc, got) in [
+                (qx.codes.clone(), qw.codes.clone(), &r.reference_hp),
+                (lo(&qx.codes), lo(&qw.codes), &r.reference_lp),
+            ] {
+                let (p, sa) = (qconv2d_codes(&xc, &wc, &g), receptive_sums(&xc, &g));
+                let spatial = g.out_spatial();
+                let want: Vec<f32> = (0..p.numel())
+                    .map(|i| {
+                        let (img, f, sp) = (i / (4 * spatial), i / spatial % 4, i % spatial);
+                        let a_sum = sa.as_slice()[img * spatial + sp] as f32;
+                        s * (p.as_slice()[i] as f32 - qw.zero * a_sum) + bias[f]
+                    })
+                    .collect();
+                assert_eq!(got.as_slice(), want.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn wide_pair_accumulates_exactly() {
+        // 15-bit codes overflow i32 within a few taps; at threshold 0 the
+        // mixed output is the all-HP reference, bit for bit.
+        let (x, w, g) = setup();
+        let cfg = DrqCfg { hi_bits: 15, lo_bits: 5, ..DrqCfg::int8_int4(0.0) };
+        let r = drq_conv2d(&x, &w, None, &g, &cfg);
+        assert_eq!(r.output.as_slice(), r.reference_hp.as_slice());
+        let float = odq_tensor::conv::conv2d(&x, &w, None, &g);
+        assert!(r.output.max_abs_diff(&float) < 1e-2);
     }
 
     #[test]

@@ -42,18 +42,19 @@ pub enum Route {
     Float,
     /// Static DoReFa quantization at fixed widths.
     Static {
-        /// Weight bit width (1..=16; symmetric grid at 16).
+        /// Weight bit width (2..=16; symmetric grid at 16).
         w_bits: u8,
-        /// Activation bit width (1..=16).
+        /// Activation bit width (1..=15).
         a_bits: u8,
         /// Activation clip range.
         a_clip: f32,
     },
     /// Input-directed DRQ (the baseline's region-masked mixed precision).
     Drq {
-        /// High-precision bit width for sensitive regions.
+        /// High-precision bit width for sensitive regions (2..=15).
         hi_bits: u8,
-        /// Low-precision bit width for insensitive regions.
+        /// Low-precision bit width for insensitive regions; must give an
+        /// integral requantization step `(2^hi − 1)/(2^lo − 1)`.
         lo_bits: u8,
         /// Activation clip range.
         a_clip: f32,
@@ -90,30 +91,36 @@ impl Route {
         }
     }
 
-    /// Structural sanity: bit widths in range, thresholds finite.
+    /// Structural sanity: exactly the routes the kernels execute. Bit
+    /// widths must lie in the quantizers' domains — activations 1..=15,
+    /// static weights 2..=16 (symmetric grid at 16), DRQ `hi_bits` 2..=15
+    /// with `lo_bits` giving an integral requantization step — and
+    /// thresholds must be finite.
     pub fn validate(&self) -> Result<(), String> {
-        let bits_ok = |what: &str, b: u8| {
-            if (1..=16).contains(&b) {
+        let bits_ok = |what: &str, b: u8, lo: u8, hi: u8| {
+            if (lo..=hi).contains(&b) {
                 Ok(())
             } else {
-                Err(format!("{what} bit width {b} outside 1..=16"))
+                Err(format!("{what} bit width {b} outside {lo}..={hi}"))
             }
         };
         match *self {
             Route::Float => Ok(()),
             Route::Static { w_bits, a_bits, a_clip } => {
-                bits_ok("weight", w_bits)?;
-                bits_ok("activation", a_bits)?;
+                bits_ok("weight", w_bits, 2, 16)?;
+                bits_ok("activation", a_bits, 1, 15)?;
                 if !(a_clip.is_finite() && a_clip > 0.0) {
                     return Err(format!("activation clip {a_clip} must be finite and positive"));
                 }
                 Ok(())
             }
             Route::Drq { hi_bits, lo_bits, a_clip, region, input_threshold } => {
-                bits_ok("high-precision", hi_bits)?;
-                bits_ok("low-precision", lo_bits)?;
-                if lo_bits > hi_bits {
-                    return Err(format!("lo_bits {lo_bits} exceeds hi_bits {hi_bits}"));
+                bits_ok("high-precision", hi_bits, 2, 15)?;
+                bits_ok("low-precision", lo_bits, 1, hi_bits)?;
+                if !((1u32 << hi_bits) - 1).is_multiple_of((1u32 << lo_bits) - 1) {
+                    return Err(format!(
+                        "no integral requantization step for {hi_bits}->{lo_bits}"
+                    ));
                 }
                 if region == 0 {
                     return Err("DRQ region edge must be at least 1".into());
@@ -314,10 +321,11 @@ pub struct AutoPolicyCfg {
     /// routes to ODQ: most of its outputs skip the high-precision pass,
     /// so ODQ is the cheapest assignment that preserves them.
     pub odq_ceiling: f64,
-    /// Smallest static bit width the builder may assign.
+    /// Smallest static bit width the builder may assign (clamped to
+    /// 2..=15).
     pub min_bits: u8,
     /// Largest static bit width the builder tries before giving up and
-    /// routing the layer to float.
+    /// routing the layer to float (clamped to 2..=15).
     pub max_bits: u8,
     /// Weight-SQNR floor (dB): the assigned static width must quantize
     /// the layer's weights at least this faithfully.
@@ -351,8 +359,10 @@ pub fn auto_policy(
     sensitivity: &[(String, f64)],
     cfg: &AutoPolicyCfg,
 ) -> PrecisionPolicy {
-    let max_bits = cfg.max_bits.clamp(1, 16);
-    let min_bits = cfg.min_bits.clamp(1, max_bits);
+    // Both widths of a static route: activations 1..=15 and offset-binary
+    // weights 2..=15 (what `Route::validate` accepts and SQNR can rank).
+    let max_bits = cfg.max_bits.clamp(2, 15);
+    let min_bits = cfg.min_bits.clamp(2, max_bits);
     let mut policy =
         PrecisionPolicy::uniform(Route::Static { w_bits: max_bits, a_bits: max_bits, a_clip: 1.0 });
     let mut assignments: Vec<(String, Route)> = Vec::new();
@@ -473,6 +483,43 @@ mod tests {
             input_threshold: 0.1,
         });
         assert!(bad_drq.validate(&mut m).is_err());
+    }
+
+    #[test]
+    fn route_validate_matches_the_kernels_domain() {
+        let st = |w_bits, a_bits| Route::Static { w_bits, a_bits, a_clip: 1.0 };
+        let drq = |hi_bits, lo_bits| Route::Drq {
+            hi_bits,
+            lo_bits,
+            a_clip: 1.0,
+            region: 2,
+            input_threshold: 0.1,
+        };
+        for ok in [st(2, 1), st(16, 15), st(8, 8), drq(8, 4), drq(4, 2), drq(15, 5), drq(2, 1)] {
+            ok.validate().unwrap_or_else(|e| panic!("{ok:?}: {e}"));
+        }
+        for bad in [st(8, 16), st(1, 8), st(17, 8), drq(16, 8), drq(8, 3), drq(6, 4), drq(8, 0)] {
+            assert!(bad.validate().is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn auto_policy_clamps_widths_to_the_static_domain() {
+        let mut m = model();
+        let cfg =
+            AutoPolicyCfg { min_bits: 1, max_bits: 16, sqnr_floor_db: 1e9, ..Default::default() };
+        let p = auto_policy(&mut m, &[], &cfg);
+        // No width clears the floor: every layer is float, and the default
+        // is the widest static route both quantizers accept.
+        assert_eq!(p.default_route(), Route::Static { w_bits: 15, a_bits: 15, a_clip: 1.0 });
+        p.validate(&mut m).unwrap();
+        let easy = AutoPolicyCfg { min_bits: 1, max_bits: 16, sqnr_floor_db: -1e9, ..cfg };
+        let p = auto_policy(&mut m, &[], &easy);
+        assert!(p
+            .layers()
+            .iter()
+            .all(|(_, r)| *r == Route::Static { w_bits: 2, a_bits: 2, a_clip: 1.0 }));
+        p.validate(&mut m).unwrap();
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   into high-order and low-order parts (`I_HBS`/`I_LBS`, `W_HBS`/`W_LBS`
 //!   in the paper's Eq. 3). The identity `code = (high << low_bits) + low`
 //!   holds exactly, with `high` carrying the sign.
-//! * [`qconv`] — integer convolution over quantized tensors
-//!   (im2col + `i16`×`i16`→`i32/i64` GEMM) with offset-binary affine
-//!   corrections. Applied to bit planes, the same code convolution gives
+//! * [`qconv`] — integer convolution over quantized tensors (pixel-major
+//!   lowering + one exact `i16`×`i16`→`i32/i64` dot product per output)
+//!   with offset-binary affine corrections. Applied to bit planes, the same code convolution gives
 //!   the partial products of Eq. 3.
 //! * [`plan`] — per-layer convolution plans ([`plan::QConvPlan`]):
 //!   quantized weights, their bit planes and the predictor's per-filter

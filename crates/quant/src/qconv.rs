@@ -1,8 +1,12 @@
 //! Integer convolution over quantized tensors.
 //!
 //! This is the arithmetic every accelerator path in the paper reduces to:
-//! im2col lowering followed by integer GEMM with `i32` accumulation, plus
-//! the affine correction terms required by offset-binary weight coding.
+//! each image is lowered once, pixel-major (one contiguous `col_len` row of
+//! activation codes per output pixel), and every output is one exact
+//! integer dot product of a pixel's row against a filter's row — `i32`
+//! accumulation for narrow schemes, `i64` beyond — plus the affine
+//! correction terms required by offset-binary weight coding. The ODQ
+//! kernel runs on the same lowering and the same dot product.
 //!
 //! With activations `value_a = s_a · a` (zero point 0) and weights
 //! `value_w = s_w · (n − z_w)`, a convolution output is
@@ -14,149 +18,99 @@
 //! `Σ a·n` is the integer code convolution ([`qconv2d_codes`]); `Σ a` is
 //! the *receptive sum* of the activation codes ([`receptive_sums`]) — in
 //! hardware a single extra accumulator fed by the same operand stream.
+//! [`qconv2d_products`] computes both from one lowering per image.
 
-use odq_tensor::gemm::{gemm_i16_i32, gemm_i16_i64};
+use odq_tensor::gemm::{dot_i16, dot_i16_i64};
 use odq_tensor::workspace::WorkspacePool;
 use odq_tensor::{ConvGeom, Tensor};
 use rayon::prelude::*;
 
 use crate::qtensor::QTensor;
 
+/// An exact accumulator for code dot products: `i32` while
+/// `a_bits + w_bits ≤ 16` (see [`needs_i64`]), `i64` beyond.
+pub trait CodeAcc: Copy + Send + Into<i64> {
+    /// `Σ a·b` over two equal-length code rows.
+    fn dot(a: &[i16], b: &[i16]) -> Self;
+}
+
+impl CodeAcc for i32 {
+    #[inline]
+    fn dot(a: &[i16], b: &[i16]) -> i32 {
+        dot_i16(a, b)
+    }
+}
+
+impl CodeAcc for i64 {
+    #[inline]
+    fn dot(a: &[i16], b: &[i16]) -> i64 {
+        dot_i16_i64(a, b)
+    }
+}
+
+/// Whether `a_bits`-bit activations against `w_bits`-bit weights need
+/// `i64` accumulation: a conservative bound — products of `b` total bits
+/// summed over up to 2^14 taps stay within `i32` only while `b + 14 < 31`.
+pub fn needs_i64(a_bits: u8, w_bits: u8) -> bool {
+    a_bits as u32 + w_bits as u32 > 16
+}
+
+/// The integer conv driver: batch-parallel over images, each lowered once
+/// through `pool`. Returns `Σ a·n` for every (image, filter, pixel),
+/// `[N, F, OH, OW]`, and `Σ a` for every (image, pixel), `[N, OH, OW]`.
+///
+/// `x`: activation codes `[N, Ci, H, W]`; `w`: the `F` filters' code rows
+/// (`[F, Ci, K, K]` flattened; empty for receptive sums only). Padded
+/// taps contribute 0 to both.
+///
+/// # Panics
+/// Panics if `x` does not match `g` or `w` is not whole filter rows.
+pub fn qconv2d_products<T: CodeAcc>(
+    x: &Tensor<i16>,
+    w: &[i16],
+    g: &ConvGeom,
+    pool: &WorkspacePool,
+) -> (Tensor<T>, Tensor<i32>) {
+    let n = x.dims()[0];
+    assert_eq!(x.dims(), g.input_shape(n).0.as_slice(), "input shape mismatch");
+    let (col_len, spatial) = (g.col_len(), g.out_spatial());
+    assert_eq!(w.len() % col_len, 0, "weight size not a whole number of filters");
+    let filters = w.len() / col_len;
+
+    let (p, sa): (Vec<Vec<T>>, Vec<Vec<i32>>) = (0..n)
+        .into_par_iter()
+        .map(|img| {
+            pool.with(|wk| {
+                let rows = wk.lower_i16_rows(x.outer(img), g);
+                let mut p = Vec::with_capacity(filters * spatial);
+                for w_f in w.chunks_exact(col_len) {
+                    p.extend(rows.chunks_exact(col_len).map(|r| T::dot(r, w_f)));
+                }
+                let sa = rows.chunks_exact(col_len).map(|r| r.iter().map(|&a| a as i32).sum());
+                (p, sa.collect())
+            })
+        })
+        .unzip();
+    (
+        Tensor::from_vec([n, filters, g.out_h(), g.out_w()], p.concat()),
+        Tensor::from_vec([n, g.out_h(), g.out_w()], sa.concat()),
+    )
+}
+
 /// Integer convolution returning raw `i32` accumulators (`Σ a·n`).
 ///
 /// `x`: quantized activations `[N, Ci, H, W]`; `w`: quantized weights
 /// `[Co, Ci, K, K]`. Output `[N, Co, OH, OW]` of code-domain products.
 pub fn qconv2d_codes(x: &Tensor<i16>, w: &Tensor<i16>, g: &ConvGeom) -> Tensor<i32> {
-    qconv2d_codes_with(x, w, g, &WorkspacePool::new())
-}
-
-/// [`qconv2d_codes`] drawing im2col scratch from a caller-owned pool,
-/// batch-parallel over images.
-pub fn qconv2d_codes_with(
-    x: &Tensor<i16>,
-    w: &Tensor<i16>,
-    g: &ConvGeom,
-    pool: &WorkspacePool,
-) -> Tensor<i32> {
-    let n = x.dims()[0];
-    assert_eq!(x.dims(), g.input_shape(n).0.as_slice(), "input shape mismatch");
     assert_eq!(w.dims(), g.weight_shape().0.as_slice(), "weight shape mismatch");
-
-    let out_spatial = g.out_spatial();
-    let per_img = g.out_channels * out_spatial;
-    let mut y = Tensor::<i32>::zeros(g.output_shape(n));
-    y.as_mut_slice().par_chunks_mut(per_img.max(1)).enumerate().for_each(|(i, yi)| {
-        pool.with(|wk| {
-            let col = wk.lower_i16(x.outer(i), g);
-            gemm_i16_i32(w.as_slice(), col, yi, g.out_channels, g.col_len(), out_spatial);
-        });
-    });
-    y
-}
-
-/// Integer convolution with `i64` accumulation (wide static baselines:
-/// 15-bit products over deep reductions overflow `i32`).
-pub fn qconv2d_codes_wide(x: &Tensor<i16>, w: &Tensor<i16>, g: &ConvGeom) -> Tensor<i64> {
-    qconv2d_codes_wide_with(x, w, g, &WorkspacePool::new())
-}
-
-/// [`qconv2d_codes_wide`] drawing im2col scratch from a caller-owned
-/// pool, batch-parallel over images.
-pub fn qconv2d_codes_wide_with(
-    x: &Tensor<i16>,
-    w: &Tensor<i16>,
-    g: &ConvGeom,
-    pool: &WorkspacePool,
-) -> Tensor<i64> {
-    let n = x.dims()[0];
-    assert_eq!(x.dims(), g.input_shape(n).0.as_slice(), "input shape mismatch");
-    assert_eq!(w.dims(), g.weight_shape().0.as_slice(), "weight shape mismatch");
-
-    let out_spatial = g.out_spatial();
-    let per_img = g.out_channels * out_spatial;
-    let mut y = Tensor::<i64>::zeros(g.output_shape(n));
-    y.as_mut_slice().par_chunks_mut(per_img.max(1)).enumerate().for_each(|(i, yi)| {
-        pool.with(|wk| {
-            let col = wk.lower_i16(x.outer(i), g);
-            gemm_i16_i64(w.as_slice(), col, yi, g.out_channels, g.col_len(), out_spatial);
-        });
-    });
-    y
+    qconv2d_products(x, w.as_slice(), g, &WorkspacePool::new()).0
 }
 
 /// Receptive sums: `Σ a` over each output position's receptive field,
 /// `[N, OH, OW]` (identical for every output channel, which all read the
 /// same window). Padded taps contribute 0.
 pub fn receptive_sums(x: &Tensor<i16>, g: &ConvGeom) -> Tensor<i32> {
-    receptive_sums_with(x, g, &WorkspacePool::new())
-}
-
-/// [`receptive_sums`] drawing im2col scratch from a caller-owned pool,
-/// batch-parallel over images.
-pub fn receptive_sums_with(x: &Tensor<i16>, g: &ConvGeom, pool: &WorkspacePool) -> Tensor<i32> {
-    let n = x.dims()[0];
-    assert_eq!(x.dims(), g.input_shape(n).0.as_slice(), "input shape mismatch");
-    let out_spatial = g.out_spatial();
-    let col_len = g.col_len();
-    let mut y = Tensor::<i32>::zeros([n, g.out_h(), g.out_w()]);
-    y.as_mut_slice().par_chunks_mut(out_spatial.max(1)).enumerate().for_each(|(i, yi)| {
-        pool.with(|wk| {
-            let col = wk.lower_i16(x.outer(i), g);
-            accumulate_column_rows(col, yi, col_len, out_spatial);
-        });
-    });
-    y
-}
-
-/// Row-wise accumulation of a `[col_len, out_spatial]` column matrix into
-/// per-output sums — the same reduction order as [`receptive_sums`] always
-/// used, so results stay bit-identical (exact in `i32` regardless).
-pub fn accumulate_column_rows(col: &[i16], acc: &mut [i32], col_len: usize, out_spatial: usize) {
-    for row in 0..col_len {
-        let r = &col[row * out_spatial..(row + 1) * out_spatial];
-        for (a, &v) in acc.iter_mut().zip(r) {
-            *a += v as i32;
-        }
-    }
-}
-
-/// Fused integer convolution + receptive sums: one im2col per image feeds
-/// both the GEMM and the `Σ a` accumulator (the accelerator's shared
-/// operand stream). Returns `(Σ a·n, Σ a)`.
-pub fn qconv2d_codes_with_sums(
-    x: &Tensor<i16>,
-    w: &Tensor<i16>,
-    g: &ConvGeom,
-    pool: &WorkspacePool,
-) -> (Tensor<i32>, Tensor<i32>) {
-    let n = x.dims()[0];
-    assert_eq!(x.dims(), g.input_shape(n).0.as_slice(), "input shape mismatch");
-    assert_eq!(w.dims(), g.weight_shape().0.as_slice(), "weight shape mismatch");
-
-    let out_spatial = g.out_spatial();
-    let per_img = g.out_channels * out_spatial;
-    let col_len = g.col_len();
-    let mut y = Tensor::<i32>::zeros(g.output_shape(n));
-    let mut sa = Tensor::<i32>::zeros([n, g.out_h(), g.out_w()]);
-
-    let per_image: Vec<Vec<i32>> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            pool.with(|wk| {
-                let col = wk.lower_i16(x.outer(i), g);
-                let mut buf = vec![0i32; per_img + out_spatial];
-                let (yi, si) = buf.split_at_mut(per_img);
-                gemm_i16_i32(w.as_slice(), col, yi, g.out_channels, col_len, out_spatial);
-                accumulate_column_rows(col, si, col_len, out_spatial);
-                buf
-            })
-        })
-        .collect();
-    for (i, buf) in per_image.iter().enumerate() {
-        y.as_mut_slice()[i * per_img..(i + 1) * per_img].copy_from_slice(&buf[..per_img]);
-        sa.as_mut_slice()[i * out_spatial..(i + 1) * out_spatial].copy_from_slice(&buf[per_img..]);
-    }
-    (y, sa)
+    qconv2d_products::<i32>(x, &[], g, &WorkspacePool::new()).1
 }
 
 /// Number of in-bounds (non-padding) taps in each output position's
@@ -203,9 +157,7 @@ pub fn filter_code_sums(w: &Tensor<i16>, out_channels: usize) -> Vec<i32> {
 /// `y = s_a·s_w·(Σ a·n − z_w·Σ a)`.
 ///
 /// Accumulates in `i32` for narrow schemes and transparently switches to
-/// `i64` when `a_bits + w_bits > 16` (a conservative bound: products of
-/// `b` total bits summed over up to 2^14 taps stay within i32 only while
-/// `b + 14 < 31`).
+/// `i64` when `a_bits + w_bits > 16` ([`needs_i64`]).
 ///
 /// # Panics
 /// Panics if the activation tensor has a nonzero zero point (zero padding
@@ -214,66 +166,43 @@ pub fn qconv2d(x: &QTensor, w: &QTensor, g: &ConvGeom) -> Tensor {
     qconv2d_with(x, w, g, &WorkspacePool::new())
 }
 
-/// [`qconv2d`] drawing im2col scratch from a caller-owned pool. On the
-/// narrow (`i32`) path with an offset-binary zero point, the products and
-/// receptive sums share a single lowering per image.
+/// [`qconv2d`] lowering through a caller-owned pool: one lowering per
+/// image feeds both the products and the receptive sums. With `w` a
+/// plan's prepacked weights, this is static INT-k's planned entry point.
 pub fn qconv2d_with(x: &QTensor, w: &QTensor, g: &ConvGeom, pool: &WorkspacePool) -> Tensor {
     assert_eq!(x.zero, 0.0, "activation zero point must be 0 (zero padding)");
-    let s = x.scale * w.scale;
-    let zw = w.zero;
-    let n = x.codes.dims()[0];
-    let spatial = g.out_spatial();
-    let co = g.out_channels;
-
-    let mut out = Tensor::zeros(g.output_shape(n));
-
-    if x.scheme.bits as u32 + w.scheme.bits as u32 > 16 {
-        let sa = if zw != 0.0 { Some(receptive_sums_with(&x.codes, g, pool)) } else { None };
-        let p = qconv2d_codes_wide_with(&x.codes, &w.codes, g, pool);
-        fill_affine(&mut out, p.as_slice(), sa.as_ref(), s, zw, n, co, spatial);
-    } else if zw != 0.0 {
-        let (p, sa) = qconv2d_codes_with_sums(&x.codes, &w.codes, g, pool);
-        fill_affine(&mut out, p.as_slice(), Some(&sa), s, zw, n, co, spatial);
+    assert_eq!(w.codes.dims(), g.weight_shape().0.as_slice(), "weight shape mismatch");
+    if needs_i64(x.scheme.bits, w.scheme.bits) {
+        dequantize_products::<i64>(x, w, g, pool)
     } else {
-        let p = qconv2d_codes_with(&x.codes, &w.codes, g, pool);
-        fill_affine(&mut out, p.as_slice(), None, s, zw, n, co, spatial);
+        dequantize_products::<i32>(x, w, g, pool)
     }
-    out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn fill_affine<T: Copy + Into<i64>>(
-    out: &mut Tensor,
-    p: &[T],
-    sa: Option<&Tensor<i32>>,
-    s: f32,
-    zw: f32,
-    n: usize,
-    co: usize,
-    spatial: usize,
-) {
-    let o = out.as_mut_slice();
-    match sa {
-        Some(sa) => {
-            let sas = sa.as_slice();
-            for img in 0..n {
-                for f in 0..co {
-                    let base = (img * co + f) * spatial;
-                    for sp in 0..spatial {
-                        let pv: i64 = p[base + sp].into();
-                        let a_sum = sas[img * spatial + sp] as f32;
-                        o[base + sp] = s * (pv as f32 - zw * a_sum);
-                    }
-                }
-            }
-        }
-        None => {
-            for (ov, &pv) in o.iter_mut().zip(p) {
+/// `s · (Σ a·n − z_w · Σ a)` per output. With `z_w = 0` the correction is
+/// `+0.0`, which leaves every product's f32 value unchanged.
+fn dequantize_products<T: CodeAcc>(
+    x: &QTensor,
+    w: &QTensor,
+    g: &ConvGeom,
+    pool: &WorkspacePool,
+) -> Tensor {
+    let (p, sa) = qconv2d_products::<T>(&x.codes, w.codes.as_slice(), g, pool);
+    let (s, zw) = (x.scale * w.scale, w.zero);
+    let spatial = g.out_spatial();
+    let per_img = g.out_channels * spatial;
+    let mut out = Tensor::zeros(p.shape().clone());
+    let images = out.as_mut_slice().chunks_exact_mut(per_img.max(1));
+    let products = p.as_slice().chunks_exact(per_img.max(1));
+    for ((o, p), sa) in images.zip(products).zip(sa.as_slice().chunks_exact(spatial)) {
+        for (o_f, p_f) in o.chunks_exact_mut(spatial).zip(p.chunks_exact(spatial)) {
+            for ((o, &pv), &a_sum) in o_f.iter_mut().zip(p_f).zip(sa) {
                 let pv: i64 = pv.into();
-                *ov = s * pv as f32;
+                *o = s * (pv as f32 - zw * a_sum as f32);
             }
         }
     }
+    out
 }
 
 /// Requantize codes to a coarser grid that shares the same scale and zero
@@ -417,8 +346,9 @@ mod tests {
         let w = Tensor::from_vec(g.weight_shape(), pseudo_signed(3 * 2 * 9, 32));
         let qx = quantize_activation(&x, 8, 1.0);
         let qw = quantize_weights(&w, 8);
+        let pool = WorkspacePool::new();
         let narrow = qconv2d_codes(&qx.codes, &qw.codes, &g);
-        let wide = qconv2d_codes_wide(&qx.codes, &qw.codes, &g);
+        let (wide, _) = qconv2d_products::<i64>(&qx.codes, qw.codes.as_slice(), &g, &pool);
         for (a, b) in narrow.as_slice().iter().zip(wide.as_slice()) {
             assert_eq!(*a as i64, *b);
         }

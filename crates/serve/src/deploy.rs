@@ -111,6 +111,9 @@ pub enum DeployError {
     NoPreviousVersion(String),
     /// The registry refused the lookup (unknown/retired version, …).
     Registry(RegistryError),
+    /// The server's engine kind has no kernel to run it (e.g. a static
+    /// bit width outside the quantizers' domain).
+    InvalidEngine(String),
 }
 
 impl std::fmt::Display for DeployError {
@@ -121,6 +124,7 @@ impl std::fmt::Display for DeployError {
                 write!(f, "model {n:?} has no previous deployment to roll back to")
             }
             DeployError::Registry(e) => write!(f, "registry: {e}"),
+            DeployError::InvalidEngine(why) => write!(f, "engine rejected: {why}"),
         }
     }
 }

@@ -86,6 +86,19 @@ impl EngineKind {
         }
     }
 
+    /// Check that every route this kind can execute is one the kernels
+    /// accept ([`Route::validate`]), so a misconfigured server fails at
+    /// start instead of panicking a worker on its first batch.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            EngineKind::Static { bits } => {
+                Route::Static { w_bits: *bits, a_bits: *bits, a_clip: 1.0 }.validate()
+            }
+            EngineKind::Policy(p) => p.distinct_routes().iter().try_for_each(Route::validate),
+            EngineKind::Float | EngineKind::Drq { .. } | EngineKind::Odq { .. } => Ok(()),
+        }
+    }
+
     /// Instantiate a fresh engine of this kind over a (typically
     /// per-model, fleet-shared) plan cache, honoring `published`: when
     /// this kind is [`EngineKind::Policy`] and the deployment carries a

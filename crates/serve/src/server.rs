@@ -73,9 +73,11 @@ impl ServerBuilder {
     }
 
     /// Start the batcher and worker threads and open admission, or report
-    /// why the initial deployments could not be built (a publish gate
-    /// rejected a model, a `serve` name has nothing published).
+    /// why the server cannot run (the engine kind is outside the kernels'
+    /// domain) or the initial deployments could not be built (a publish
+    /// gate rejected a model, a `serve` name has nothing published).
     pub fn try_start(self) -> Result<Server, DeployError> {
+        self.engine.validate().map_err(DeployError::InvalidEngine)?;
         let cfg = self.cfg;
         let registry = self.registry;
 
@@ -644,6 +646,24 @@ mod tests {
         // A server can't start serving a name with nothing published.
         let r = Server::builder(ServeConfig::default()).serve("empty").try_start();
         assert!(matches!(r, Err(DeployError::UnknownModel(_))));
+    }
+
+    #[test]
+    fn out_of_domain_engine_is_rejected_at_start_not_by_a_worker() {
+        for bits in [1u8, 16] {
+            let r = Server::builder(ServeConfig::default())
+                .engine(EngineKind::Static { bits })
+                .model("lenet", tiny_model_seeded(1))
+                .try_start();
+            assert!(matches!(r, Err(DeployError::InvalidEngine(_))), "int{bits}");
+        }
+        let s = Server::builder(ServeConfig::default())
+            .engine(EngineKind::Static { bits: 15 })
+            .model("lenet", tiny_model_seeded(1))
+            .try_start()
+            .unwrap();
+        s.submit(InferRequest::new("lenet", input(0))).unwrap().wait().unwrap();
+        s.shutdown();
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! Rayon-parallel GEMM kernels.
+//! Rayon-parallel float GEMM kernels and the exact integer dot product.
 //!
-//! Two variants are provided:
-//!
-//! * [`gemm_f32`] — the float reference path used by training and by the
-//!   FP32 "golden" outputs that quantized results are compared against.
-//! * [`gemm_i8_i32`] — integer GEMM over `i8` operands with `i32`
-//!   accumulation, the arithmetic all quantized paths (DoReFa static,
-//!   DRQ, ODQ predictor/executor) reduce to.
-//!
-//! Both use a cache-friendly i-k-j loop order and parallelize over rows of
-//! the output, which keeps every output element's reduction sequential and
-//! therefore bit-for-bit deterministic.
+//! * [`gemm_f32`] and its transposed/accumulating forms — the float path
+//!   used by training and by the FP32 "golden" outputs that quantized
+//!   results are compared against. They use a cache-friendly i-k-j loop
+//!   order and parallelize over rows of the output, which keeps every
+//!   output element's reduction sequential and therefore bit-for-bit
+//!   deterministic.
+//! * [`dot_i16`] / [`dot_i16_i64`] — the exact integer dot product all
+//!   quantized paths (DoReFa static, DRQ, ODQ predictor/executor) reduce
+//!   to, one output at a time over pixel-major code rows.
 
 use rayon::prelude::*;
 
@@ -102,81 +100,45 @@ pub fn gemm_f32_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     });
 }
 
-/// Integer GEMM: `C = A * B` with `A: [m, k]` and `B: [k, n]` of `i8`,
-/// accumulating in `i32`.
+/// Exact `Σ a·b` over two equal-length `i16` code rows, accumulated in
+/// `i32` — the one integer dot product every quantized conv reduces to.
 ///
-/// With operands bounded by a few bits (|a| ≤ 15, |b| ≤ 15 for INT4) and the
-/// reduction depths used by CNN layers (≤ a few thousand), `i32` cannot
-/// overflow; a debug assertion documents the bound.
-pub fn gemm_i8_i32(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A length mismatch");
-    assert_eq!(b.len(), k * n, "B length mismatch");
-    assert_eq!(c.len(), m * n, "C length mismatch");
-    debug_assert!(k < (1 << 16), "reduction depth too large for i32 accumulation guarantee");
-
-    c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
-        crow.fill(0);
-        let arow = &a[i * k..(i + 1) * k];
-        for (kk, &aik) in arow.iter().enumerate() {
-            if aik == 0 {
-                continue;
-            }
-            let aik = aik as i32;
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (cj, &bj) in crow.iter_mut().zip(brow) {
-                *cj += aik * bj as i32;
-            }
+/// Sixteen independent lane accumulators let the widening multiply-adds
+/// vectorize on the baseline target; integer addition is associative, so
+/// the order is immaterial. The caller guarantees the sum fits `i32`
+/// (operands of `a_bits + w_bits ≤ 16` over up to 2^14 taps); wider
+/// operands use [`dot_i16_i64`]. `#[inline]` because the release profile
+/// has no LTO: callers in other crates must get the code generation a
+/// local call would.
+#[inline]
+pub fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
+    let (ca, cb) = (a.chunks_exact(16), b.chunks_exact(16));
+    let tail: i32 =
+        ca.remainder().iter().zip(cb.remainder()).map(|(&x, &y)| x as i32 * y as i32).sum();
+    let mut acc = [0i32; 16];
+    for (x, y) in ca.zip(cb) {
+        for ((s, &x), &y) in acc.iter_mut().zip(x).zip(y) {
+            *s += x as i32 * y as i32;
         }
-    });
+    }
+    acc.iter().sum::<i32>() + tail
 }
 
-/// Integer GEMM over `i16` operands with `i32` accumulation.
-///
-/// Same structure as [`gemm_i8_i32`]; `i16` covers unsigned INT8 activation
-/// codes (0..=255) and INT16 static-baseline codes.
-pub fn gemm_i16_i32(a: &[i16], b: &[i16], c: &mut [i32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A length mismatch");
-    assert_eq!(b.len(), k * n, "B length mismatch");
-    assert_eq!(c.len(), m * n, "C length mismatch");
-
-    c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
-        crow.fill(0);
-        let arow = &a[i * k..(i + 1) * k];
-        for (kk, &aik) in arow.iter().enumerate() {
-            if aik == 0 {
-                continue;
-            }
-            let aik = aik as i32;
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (cj, &bj) in crow.iter_mut().zip(brow) {
-                *cj += aik * bj as i32;
-            }
-        }
-    });
-}
-
-/// Integer GEMM over `i16` operands with `i64` accumulation — needed for
-/// wide static baselines (INT16×INT16 products over deep reductions
+/// [`dot_i16`] accumulating in `i64`, for wide static baselines
+/// (`a_bits + w_bits > 16`: 15- and 16-bit products over deep reductions
 /// overflow `i32`).
-pub fn gemm_i16_i64(a: &[i16], b: &[i16], c: &mut [i64], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A length mismatch");
-    assert_eq!(b.len(), k * n, "B length mismatch");
-    assert_eq!(c.len(), m * n, "C length mismatch");
-
-    c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
-        crow.fill(0);
-        let arow = &a[i * k..(i + 1) * k];
-        for (kk, &aik) in arow.iter().enumerate() {
-            if aik == 0 {
-                continue;
-            }
-            let aik = aik as i64;
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (cj, &bj) in crow.iter_mut().zip(brow) {
-                *cj += aik * bj as i64;
-            }
+#[inline]
+pub fn dot_i16_i64(a: &[i16], b: &[i16]) -> i64 {
+    let (ca, cb) = (a.chunks_exact(16), b.chunks_exact(16));
+    let tail: i64 =
+        ca.remainder().iter().zip(cb.remainder()).map(|(&x, &y)| x as i64 * y as i64).sum();
+    let mut acc = [0i64; 16];
+    for (x, y) in ca.zip(cb) {
+        for ((s, &x), &y) in acc.iter_mut().zip(x).zip(y) {
+            *s += x as i64 * y as i64;
         }
-    });
+    }
+    acc.iter().sum::<i64>() + tail
 }
 
 #[cfg(test)]
@@ -254,44 +216,23 @@ mod tests {
     }
 
     #[test]
-    fn gemm_i8_matches_float() {
-        let (m, k, n) = (5, 8, 6);
-        let a: Vec<i8> = (0..m * k).map(|i| ((i * 7 + 3) % 15) as i8 - 7).collect();
-        let b: Vec<i8> = (0..k * n).map(|i| ((i * 11 + 1) % 15) as i8 - 7).collect();
-        let mut c = vec![0i32; m * n];
-        gemm_i8_i32(&a, &b, &mut c, m, k, n);
-        let af: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-        let bf: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-        let cf = naive(&af, &bf, m, k, n);
-        for (x, y) in c.iter().zip(&cf) {
-            assert_eq!(*x as f32, *y);
+    fn dot_i16_matches_naive_across_tail_lengths() {
+        for len in [0usize, 1, 15, 16, 17, 40] {
+            let a: Vec<i16> = (0..len).map(|i| ((i * 7 + 3) % 31) as i16 - 15).collect();
+            let b: Vec<i16> = (0..len).map(|i| ((i * 11 + 1) % 255) as i16).collect();
+            let naive: i64 = a.iter().zip(&b).map(|(&x, &y)| x as i64 * y as i64).sum();
+            assert_eq!(dot_i16(&a, &b) as i64, naive, "len {len}");
+            assert_eq!(dot_i16_i64(&a, &b), naive, "len {len}");
         }
     }
 
     #[test]
-    fn gemm_i16_matches_i8_on_shared_range() {
-        let (m, k, n) = (3, 10, 4);
-        let a8: Vec<i8> = (0..m * k).map(|i| ((i * 5 + 2) % 31) as i8 - 15).collect();
-        let b8: Vec<i8> = (0..k * n).map(|i| ((i * 9 + 4) % 31) as i8 - 15).collect();
-        let a16: Vec<i16> = a8.iter().map(|&x| x as i16).collect();
-        let b16: Vec<i16> = b8.iter().map(|&x| x as i16).collect();
-        let mut c8 = vec![0i32; m * n];
-        let mut c16 = vec![0i32; m * n];
-        gemm_i8_i32(&a8, &b8, &mut c8, m, k, n);
-        gemm_i16_i32(&a16, &b16, &mut c16, m, k, n);
-        assert_eq!(c8, c16);
-    }
-
-    #[test]
-    fn gemm_i64_handles_wide_products() {
+    fn dot_i16_i64_handles_wide_products() {
         // 16-bit × 16-bit products over a deep reduction overflow i32 but
         // must be exact in i64.
-        let (m, k, n) = (1, 1000, 1);
-        let a = vec![30_000i16; k];
-        let b = vec![30_000i16; k];
-        let mut c = vec![0i64; 1];
-        gemm_i16_i64(&a, &b, &mut c, m, k, n);
-        assert_eq!(c[0], 30_000i64 * 30_000 * 1000);
+        let a = vec![30_000i16; 1000];
+        let b = vec![30_000i16; 1000];
+        assert_eq!(dot_i16_i64(&a, &b), 30_000i64 * 30_000 * 1000);
     }
 
     #[test]

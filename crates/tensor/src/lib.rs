@@ -11,16 +11,18 @@
 //!   convolution paths.
 //! * [`im2col`] — image-to-column lowering (and its transpose `col2im`),
 //!   the lowering the paper's accelerator performs in its "Im2col/Pack engine"
-//!   (Fig. 12/17), plus the pixel-major `im2row_into` the ODQ kernel uses.
-//! * [`gemm`] — rayon-parallel GEMM kernels for `f32` and for `i32`
-//!   accumulation over low-bitwidth integer operands.
-//! * [`conv`] — convolution / pooling forward and backward passes built on
-//!   im2col + GEMM.
+//!   (Fig. 12/17), plus the pixel-major `im2row_into` every integer conv
+//!   (static, DRQ, ODQ) lowers its codes with.
+//! * [`gemm`] — rayon-parallel `f32` GEMM kernels, and the exact `i16` dot
+//!   products (`i32` and `i64` accumulation) every integer convolution
+//!   computes its outputs with.
+//! * [`conv`] — float convolution / pooling forward and backward passes
+//!   built on im2col + GEMM.
 //! * [`stats`] — summary statistics (quantiles, moments) used for threshold
 //!   calibration.
 //! * [`workspace`] — reusable lowering scratch ([`ConvWorkspace`]) and the
 //!   [`WorkspacePool`] that batch-parallel conv drivers draw per-task
-//!   scratch from, replacing per-call column allocations.
+//!   scratch from, replacing per-call lowering allocations.
 //!
 //! Everything is deterministic: no global state, no hidden threading beyond
 //! rayon's data-parallel iterators (which preserve results bit-for-bit for the

@@ -1,21 +1,23 @@
 //! Reusable convolution scratch space.
 //!
-//! Every conv driver in this workspace lowers images to column matrices
-//! (im2col) before its GEMM. Allocating those columns per call dominated
-//! the hot path; a [`ConvWorkspace`] owns the buffers and re-sizes them to
-//! the current [`ConvGeom`], so a long-lived engine lowers into the same
-//! memory pass after pass. The ODQ kernel lowers pixel-major instead and
-//! derives the high bit plane of the lowered codes in place — one lowering
-//! per (layer, image) feeds the predictor, the executor and both
-//! receptive-sum accumulators, mirroring the paper's accelerator where a
-//! single operand fetch drives every engine (Sec. 4).
+//! Every conv driver in this workspace lowers each image before its
+//! multiply-accumulates: the float conv to column matrices (im2col), the
+//! integer convs to pixel-major code rows (one contiguous `col_len` row per
+//! output pixel, [`im2row_into`]). Allocating those buffers per call
+//! dominated the hot path; a [`ConvWorkspace`] owns them and re-sizes them
+//! to the current [`ConvGeom`], so a long-lived engine lowers into the same
+//! memory pass after pass. The ODQ kernel also derives the high bit plane
+//! of the lowered codes in place — one lowering per (layer, image) feeds
+//! the predictor, the executor and both receptive-sum accumulators,
+//! mirroring the paper's accelerator where a single operand fetch drives
+//! every engine (Sec. 4).
 //!
 //! A [`WorkspacePool`] hands workspaces to batch-parallel drivers: each
 //! rayon task acquires one for the duration of an image and returns it, so
-//! the number of live column buffers equals the number of worker threads,
-//! not the batch size. The pool also aggregates each workspace's lowering
-//! counter — the hook tests use to prove the "exactly one im2col per
-//! (layer, image)" property.
+//! the number of live lowering buffers equals the number of worker
+//! threads, not the batch size. The pool also aggregates each workspace's
+//! lowering counter — the hook tests use to prove the "exactly one
+//! lowering per (layer, image)" property.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -23,12 +25,11 @@ use std::sync::Mutex;
 use crate::im2col::{im2col_into, im2row_into};
 use crate::shape::ConvGeom;
 
-/// Scratch buffers for one in-flight image: float and integer column
-/// matrices, plus the pixel-major code rows and their high bit plane.
+/// Scratch buffers for one in-flight image: the float column matrix, plus
+/// the pixel-major code rows and their high bit plane.
 #[derive(Default)]
 pub struct ConvWorkspace {
     col_f: Vec<f32>,
-    col_i: Vec<i16>,
     rows_i: Vec<i16>,
     rows_hi: Vec<i16>,
     lowerings: u64,
@@ -49,34 +50,29 @@ impl ConvWorkspace {
         &self.col_f
     }
 
-    /// Lower an integer-code image into the reused column buffer.
-    pub fn lower_i16(&mut self, input: &[i16], g: &ConvGeom) -> &[i16] {
-        let len = g.col_len() * g.out_spatial();
-        self.col_i.resize(len, 0);
-        im2col_into(input, g, &mut self.col_i);
+    /// Lower an integer-code image pixel-major ([`im2row_into`]: one
+    /// contiguous `col_len` row per output pixel) into the reused buffer.
+    pub fn lower_i16_rows(&mut self, input: &[i16], g: &ConvGeom) -> &[i16] {
+        self.rows_i.resize(g.col_len() * g.out_spatial(), 0);
+        im2row_into(input, g, &mut self.rows_i);
         self.lowerings += 1;
-        &self.col_i
+        &self.rows_i
     }
 
-    /// Lower an integer-code image pixel-major ([`im2row_into`]: one
-    /// contiguous `col_len` row per output pixel) and derive the high bit
+    /// [`lower_i16_rows`](Self::lower_i16_rows), then derive the high bit
     /// plane of every tap, `c >> low_bits` (arithmetic).
     ///
     /// Exact: zero-padded taps shift to 0, so the high rows equal what
     /// lowering a pre-split high-plane tensor would produce. Returns
     /// `(codes, high)` row matrices; only one lowering is counted.
-    pub fn lower_i16_rows(
+    pub fn lower_i16_planes(
         &mut self,
         input: &[i16],
         g: &ConvGeom,
         low_bits: u8,
     ) -> (&[i16], &[i16]) {
-        let len = g.col_len() * g.out_spatial();
-        self.rows_i.resize(len, 0);
-        im2row_into(input, g, &mut self.rows_i);
-        self.lowerings += 1;
-
-        self.rows_hi.resize(len, 0);
+        self.lower_i16_rows(input, g);
+        self.rows_hi.resize(self.rows_i.len(), 0);
         for (h, &c) in self.rows_hi.iter_mut().zip(&self.rows_i) {
             *h = c >> low_bits;
         }
@@ -120,7 +116,7 @@ impl WorkspacePool {
         r
     }
 
-    /// Total im2col lowerings performed through this pool.
+    /// Total lowerings (im2col or im2row) performed through this pool.
     pub fn lowerings(&self) -> u64 {
         self.lowerings.load(Ordering::Relaxed)
     }
@@ -157,7 +153,7 @@ mod tests {
         let g = ConvGeom::new(2, 2, 4, 4, 3, 1, 1);
         let input: Vec<i16> = (0..2 * 16).map(|i| (i as i16 % 31) - 15).collect();
         let mut ws = ConvWorkspace::new();
-        let (codes, hi) = ws.lower_i16_rows(&input, &g, 2);
+        let (codes, hi) = ws.lower_i16_planes(&input, &g, 2);
 
         let pre_hi: Vec<i16> = input.iter().map(|&c| c >> 2).collect();
         let mut expect = vec![0i16; codes.len()];
@@ -175,7 +171,7 @@ mod tests {
         let input = vec![1i16; 9];
         for _ in 0..3 {
             pool.with(|ws| {
-                let _ = ws.lower_i16(&input, &g);
+                let _ = ws.lower_i16_rows(&input, &g);
             });
         }
         assert_eq!(pool.lowerings(), 3);

@@ -25,7 +25,7 @@
 //!
 //! ```sh
 //! cargo run --release --bin serve_bench -- \
-//!     [--engine odq|drq|int8|int16|float] [--workers N] [--requests N] \
+//!     [--engine odq|drq|int8|float] [--workers N] [--requests N] \
 //!     [--max-batch N] [--rate RPS] [--seed S] [--json] [--out PATH] [--net] \
 //!     [--metrics-addr HOST:PORT]
 //! ```
@@ -98,7 +98,6 @@ fn parse_args() -> Args {
                     "odq" => EngineKind::Odq { threshold: 0.3 },
                     "drq" => EngineKind::Drq { input_threshold: 0.1 },
                     "int8" => EngineKind::Static { bits: 8 },
-                    "int16" => EngineKind::Static { bits: 16 },
                     "float" => EngineKind::Float,
                     other => panic!("unknown engine {other:?}"),
                 }

@@ -11,7 +11,7 @@
 //!    JSON carries per-route accelerator cost sections.
 //! 3. **Publish-time validation** — a policy naming a conv layer the
 //!    candidate does not have is rejected atomically (no version is
-//!    allocated), as is a policy with out-of-range routes.
+//!    allocated), as is a policy with a route no kernel can run.
 //! 4. **Sparse ODQ routes serve like dense ones** — a policy asking for
 //!    the sparse kernel answers bit-identically to the dense policy and
 //!    reports the same sensitive fraction and per-route cycles.
@@ -269,6 +269,27 @@ fn publish_rejects_policies_that_do_not_fit_the_candidate() {
     let bad_bits = PrecisionPolicy::uniform(Route::Static { w_bits: 0, a_bits: 8, a_clip: 1.0 });
     let err = reg.publish_with_policy("m", lenet(1), vec![], Some(bad_bits)).unwrap_err();
     assert!(matches!(err, RegistryError::InvalidPolicy(_)), "got {err}");
+
+    // Routes inside the old 1..=16 check that no kernel can run: 16-bit
+    // activations, 1-bit weights, a 16-bit DRQ pair, and a DRQ pair with
+    // no integral requantization step.
+    let drq = |hi_bits, lo_bits| Route::Drq {
+        hi_bits,
+        lo_bits,
+        a_clip: 1.0,
+        region: 2,
+        input_threshold: 0.1,
+    };
+    for route in [
+        Route::Static { w_bits: 8, a_bits: 16, a_clip: 1.0 },
+        Route::Static { w_bits: 1, a_bits: 8, a_clip: 1.0 },
+        drq(16, 8),
+        drq(8, 3),
+    ] {
+        let p = PrecisionPolicy::uniform(Route::Float).with("C1", route);
+        let err = reg.publish_with_policy("m", lenet(1), vec![], Some(p)).unwrap_err();
+        assert!(matches!(err, RegistryError::InvalidPolicy(_)), "{route:?}: got {err}");
+    }
 
     // Rejection is atomic: no version was allocated, and a clean publish
     // still lands as version 1.

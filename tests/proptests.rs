@@ -313,6 +313,50 @@ proptest! {
         }
     }
 
+    /// Static convs match the scalar oracle bit for bit on both sides of
+    /// the i32/i64 cutover — (a 8, w 8) on i32, (a 8, w 9) on i64 with an
+    /// offset-binary zero point, (a 8, w 16) symmetric on i64 — with one
+    /// pool lowering per image whether or not there is a zero point. DRQ
+    /// matches its oracle with one lowering per (precision path, image).
+    #[test]
+    fn integer_convs_match_oracle_across_the_i64_cutover(spec in LayerSpecStrategy::default()) {
+        use odq::drq::drq_conv::drq_conv2d_planned;
+        use odq::quant::quantize_weights_symmetric;
+        use odq_conformance::oracle::{
+            ref_drq_conv2d, ref_qconv2d_affine, ref_quantize_activation, ref_quantize_weights,
+            ref_quantize_weights_symmetric,
+        };
+
+        let g = spec.geom;
+        let (x, w) = (gen_input(&spec), gen_weights(&spec));
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let qx = quantize_activation(&x, 8, 1.0);
+        let rx = ref_quantize_activation(x.as_slice(), 8, 1.0);
+        let pool = WorkspacePool::new();
+        for w_bits in [8u8, 9, 16] {
+            let (qw, rw) = if w_bits == 16 {
+                (quantize_weights_symmetric(&w, 16), ref_quantize_weights_symmetric(w.as_slice(), 16))
+            } else {
+                (quantize_weights(&w, w_bits), ref_quantize_weights(w.as_slice(), w_bits))
+            };
+            pool.reset_lowerings();
+            let y = qconv2d_with(&qx, &qw, &g, &pool);
+            prop_assert_eq!(pool.lowerings(), spec.batch as u64, "w{} lowerings", w_bits);
+            let want = ref_qconv2d_affine(&rx, &rw, spec.batch, &g);
+            prop_assert_eq!(bits(y.as_slice()), bits(&want), "w{} output", w_bits);
+        }
+
+        let cfg = spec.drq_cfg();
+        let bias = gen_bias(&spec);
+        let plan = QConvPlan::build(&w, PlanSpec::drq(cfg.hi_bits, cfg.lo_bits));
+        pool.reset_lowerings();
+        let r = drq_conv2d_planned(&x, &plan, bias.as_deref(), &g, &cfg, &pool);
+        prop_assert_eq!(pool.lowerings(), 2 * spec.batch as u64);
+        let want = ref_drq_conv2d(x.as_slice(), w.as_slice(), bias.as_deref(), spec.batch, &g, &cfg);
+        prop_assert_eq!(bits(r.output.as_slice()), bits(&want.output));
+        prop_assert_eq!(r.input_mask, want.input_mask);
+    }
+
     /// The per-call wrapper's INT4 reference is the static quantized conv
     /// over the same operands plus bias, bit for bit.
     #[test]
@@ -330,6 +374,39 @@ proptest! {
         let bits: Vec<u32> = r.reference.as_slice().iter().map(|v| v.to_bits()).collect();
         let want: Vec<u32> = want.as_slice().iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(bits, want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every static or DRQ route `Route::validate` accepts, over all bit
+    /// widths 1..=16 (the old check's range), runs a conv without
+    /// panicking and yields finite outputs of the right shape.
+    #[test]
+    fn validated_routes_run_one_conv(spec in LayerSpecStrategy::default()) {
+        use odq::nn::executor::{ConvCtx, ConvExecutor};
+        use odq::nn::policy::{PrecisionPolicy, Route};
+        use odq::quant::plan::PlanCache;
+        use odq::serve::PolicyExecutor;
+        use std::sync::Arc;
+
+        let g = spec.geom;
+        let (x, w, bias) = (gen_input(&spec), gen_weights(&spec), gen_bias(&spec));
+        let ctx = ConvCtx { name: "C1", geom: g, weights: &w, bias: bias.as_deref(), qat: None };
+        for (b1, b2) in (1u8..=16).flat_map(|b1| (1u8..=16).map(move |b2| (b1, b2))) {
+            let routes = [
+                Route::Static { w_bits: b1, a_bits: b2, a_clip: 1.0 },
+                Route::Drq { hi_bits: b1, lo_bits: b2, a_clip: 1.0, region: 2, input_threshold: 0.3 },
+            ];
+            for route in routes.into_iter().filter(|r| r.validate().is_ok()) {
+                let policy = Arc::new(PrecisionPolicy::uniform(route));
+                let mut exec = PolicyExecutor::new(policy, Arc::new(PlanCache::new()));
+                let y = exec.conv(&ctx, &x);
+                prop_assert_eq!(y.dims(), g.output_shape(spec.batch).0.as_slice());
+                prop_assert!(y.as_slice().iter().all(|v| v.is_finite()), "{:?}", route);
+            }
+        }
     }
 }
 
