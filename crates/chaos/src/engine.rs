@@ -194,7 +194,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         workers: cfg.workers,
         default_deadline: None,
         simulate_accel: false,
-        fault_panic_on_batch: None,
         fault_hook,
         trace: Some(traces.clone()),
         layer_profiling: true,
@@ -362,64 +361,63 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
 
 /// Drain every outstanding handle to its single terminal outcome.
 ///
-/// Polls `try_wait` (so a genuine hang becomes a counted invariant
+/// Waits on each handle with a timeout bounded by what is left of
+/// [`RESOLVE_TIMEOUT`] (so a genuine hang becomes a counted invariant
 /// failure instead of wedging the harness). In net mode the connection is
 /// then cycled — closing it forces any handle the wire swallowed
 /// (truncated frame, corrupted header wedging the server mid-read) to a
-/// typed `WorkerLost` — and stragglers get one more polling round.
+/// typed `WorkerLost` — and stragglers get one more round.
 fn resolve_outstanding(
     stack: &mut Stack,
     outstanding: &mut Vec<Out>,
     tally: &mut OutcomeTally,
     observed: &mut Vec<ObservedResponse>,
 ) {
-    poll_outstanding(outstanding, tally, observed, RESOLVE_TIMEOUT);
+    await_outstanding(outstanding, tally, observed, RESOLVE_TIMEOUT);
     // Unconditional in net mode, even with nothing outstanding: each
     // quiesce consumes exactly one proxy connection, keeping the plan's
     // accept-order fault assignment deterministic.
     stack.cycle_connection();
     if !outstanding.is_empty() {
-        poll_outstanding(outstanding, tally, observed, RESOLVE_TIMEOUT);
+        await_outstanding(outstanding, tally, observed, RESOLVE_TIMEOUT);
     }
     tally.unanswered += outstanding.len() as u64;
     outstanding.clear();
 }
 
-fn poll_outstanding(
+/// Block on each outstanding handle in turn, all within one `timeout`
+/// budget; handles still unresolved when it runs out stay outstanding.
+fn await_outstanding(
     outstanding: &mut Vec<Out>,
     tally: &mut OutcomeTally,
     observed: &mut Vec<ObservedResponse>,
     timeout: Duration,
 ) {
-    let start = Instant::now();
-    while !outstanding.is_empty() && start.elapsed() < timeout {
-        outstanding.retain(|out| {
-            let Some(outcome) = out.handle.try_wait() else { return true };
-            match outcome {
-                Ok(resp) => {
-                    tally.completed += 1;
-                    observed.push(ObservedResponse {
-                        model: out.model,
-                        image_seed: out.image_seed,
-                        bits: tensor_bits(&resp.output),
-                    });
-                }
-                Err(ServeError::DeadlineExceeded) => tally.deadline += 1,
-                Err(ServeError::Internal) => tally.internal += 1,
-                Err(ServeError::WorkerLost) => tally.worker_lost += 1,
-                Err(_) => tally.rejected += 1,
+    let deadline = Instant::now() + timeout;
+    outstanding.retain(|out| {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let Some(outcome) = out.handle.wait_timeout(left) else { return true };
+        match outcome {
+            Ok(resp) => {
+                tally.completed += 1;
+                observed.push(ObservedResponse {
+                    model: out.model,
+                    image_seed: out.image_seed,
+                    bits: tensor_bits(&resp.output),
+                });
             }
-            // The one response slot is spent: a second outcome (beyond
-            // the channel-closed artifact) is a duplicated answer.
-            if !matches!(out.handle.try_wait(), None | Some(Err(ServeError::WorkerLost))) {
-                tally.double_answered += 1;
-            }
-            false
-        });
-        if !outstanding.is_empty() {
-            std::thread::sleep(Duration::from_millis(2));
+            Err(ServeError::DeadlineExceeded) => tally.deadline += 1,
+            Err(ServeError::Internal) => tally.internal += 1,
+            Err(ServeError::WorkerLost) => tally.worker_lost += 1,
+            Err(_) => tally.rejected += 1,
         }
-    }
+        // The one response slot is spent: a second outcome (beyond the
+        // channel-closed artifact) is a duplicated answer.
+        if !matches!(out.handle.try_wait(), None | Some(Err(ServeError::WorkerLost))) {
+            tally.double_answered += 1;
+        }
+        false
+    });
 }
 
 /// Read the reconcile report, retrying briefly until it balances with an

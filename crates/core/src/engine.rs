@@ -112,12 +112,6 @@ impl OdqEngine {
         &self.plans
     }
 
-    /// Drop cached layer plans (call if model weights changed — though the
-    /// cache also self-invalidates via its full-content fingerprint).
-    pub fn invalidate_weights(&mut self) {
-        self.plans.invalidate();
-    }
-
     /// Clear accumulated statistics.
     pub fn reset_stats(&mut self) {
         self.stats.reset();

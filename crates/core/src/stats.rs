@@ -102,11 +102,6 @@ impl OdqStats {
         self.layers.iter().map(|l| (l.name.clone(), l.insensitive_fraction())).collect()
     }
 
-    /// Per-layer `(name, mean_precision_loss)` pairs.
-    pub fn precision_loss_by_layer(&self) -> Vec<(String, f64)> {
-        self.layers.iter().map(|l| (l.name.clone(), l.mean_precision_loss())).collect()
-    }
-
     /// Clear all records.
     pub fn reset(&mut self) {
         self.layers.clear();

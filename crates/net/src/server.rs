@@ -1,24 +1,31 @@
 //! The TCP front-end: accept loop, per-connection threads, graceful drain.
 //!
 //! ```text
-//!   accept thread ──► per-connection reader ──► Server::submit
-//!        │                   │                        │ ResponseHandle
-//!        │ (cap check,       ▼                        ▼
-//!        │  drain flag)   event channel ──► per-connection writer
-//!        │                                  (polls in-flight handles,
-//!        │                                   writes completions in the
-//!        ▼                                   order they FINISH — no
-//!   connection registry                      head-of-line blocking)
+//!   accept thread ──► per-connection reader ──► Server::submit_tagged
+//!        │                   │ rejections,            │ completion queue:
+//!        │ (cap check,       │ protocol errors        │ (tag, result) encoded
+//!        │  drain flag)      ▼                        ▼ as it finishes
+//!        │               frame channel ◄──────────────┘
+//!        │                   │
+//!        ▼                   ▼
+//!   connection registry  per-connection writer (blocks on the one
+//!                        channel; frames go out in the order requests
+//!                        FINISH — no head-of-line blocking)
 //! ```
 //!
 //! Each accepted connection gets a **reader** thread (decodes `ODQ1`
 //! frames, submits to the in-process [`Server`]) and a **writer** thread
-//! (owns the write half; answers requests as their handles resolve, so a
-//! slow request never delays a fast one submitted after it). Admission
-//! rejections travel back as typed error frames; a malformed, truncated,
-//! or oversized frame gets a typed error frame and closes the connection
-//! (framing cannot be resynchronized after a parse failure), releasing
-//! its connection slot.
+//! (owns the write half). The reader submits each request with
+//! [`Server::submit_tagged`] under a connection-local tag; the
+//! connection's completion queue turns each `(tag, result)` into its
+//! response or error frame the moment the pipeline finishes the request
+//! and pushes it onto the same channel that carries the reader's own
+//! error frames. The writer blocks on that one channel, so a slow request
+//! never delays a fast one submitted after it, and nothing polls.
+//! Admission rejections travel back as typed error frames; a malformed,
+//! truncated, or oversized frame gets a typed error frame and closes the
+//! connection (framing cannot be resynchronized after a parse failure),
+//! releasing its connection slot.
 //!
 //! [`NetServer::shutdown`] drains gracefully: the accept loop stops, every
 //! open connection's read side is shut down (no new requests), writers
@@ -31,10 +38,9 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use odq_serve::{NetTap, ResponseHandle, Server, StatsSummary};
+use odq_serve::{CompletionQueue, InferResponse, NetTap, ServeError, Server, StatsSummary};
 
 use crate::wire::{
     self, encode_error, encode_response, ErrorFrame, Frame, ResponseFrame, WireError,
@@ -62,20 +68,6 @@ impl Default for NetConfig {
 /// if a sibling panicked while holding a registry lock.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// What a connection's reader hands its writer.
-enum Event {
-    /// A submitted request whose handle will resolve later. The bool is
-    /// whether the request carried `FLAG_TRACE` — only then does the
-    /// response frame echo the trace id (v1 clients keep seeing v1
-    /// response bodies).
-    Inflight(u64, bool, ResponseHandle),
-    /// A request rejected at admission: answer immediately.
-    Reject(ErrorFrame),
-    /// A connection-fatal protocol error: send it, finish the in-flight
-    /// work, and close.
-    Fatal(ErrorFrame),
 }
 
 struct Shared {
@@ -264,20 +256,20 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_connections: usiz
 fn handle_connection(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
     shared.tap.conn_opened();
     let writer = stream.try_clone();
-    let (ev_tx, ev_rx) = unbounded::<Event>();
+    let (frame_tx, frame_rx) = unbounded::<Vec<u8>>();
     let writer_thread = writer.ok().and_then(|w| {
         let tap = shared.tap.clone();
         std::thread::Builder::new()
             .name(format!("odq-net-write-{conn_id}"))
-            .spawn(move || writer_loop(w, ev_rx, tap))
+            .spawn(move || writer_loop(w, frame_rx, tap))
             .ok()
     });
     if writer_thread.is_some() {
-        reader_loop(&stream, &shared, &ev_tx);
+        reader_loop(&stream, &shared, &frame_tx);
     }
-    // Dropping the event sender lets the writer finish the in-flight
+    // Dropping the reader's sender lets the writer finish the in-flight
     // requests and exit; only then is the connection accounted closed.
-    drop(ev_tx);
+    drop(frame_tx);
     if let Some(w) = writer_thread {
         let _ = w.join();
     }
@@ -286,31 +278,44 @@ fn handle_connection(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
     shared.tap.conn_closed();
 }
 
-fn reader_loop(stream: &TcpStream, shared: &Shared, ev_tx: &Sender<Event>) {
+fn reader_loop(stream: &TcpStream, shared: &Shared, frames: &Sender<Vec<u8>>) {
     let mut reader = BufReader::new(stream);
+    // Requests in flight by tag: wire id, and whether the request carried
+    // `FLAG_TRACE` — only then does the response frame echo the trace id
+    // (v1 clients keep seeing v1 response bodies). Registered before the
+    // submit, so the completion always finds its entry.
+    let inflight: Arc<Mutex<HashMap<u64, (u64, bool)>>> = Arc::default();
+    // Each admitted request's completion becomes its frame on the writer's
+    // channel. The queue holds a sender, so the channel stays open until
+    // the last in-flight request is answered.
+    let done = {
+        let (tx, inflight) = (frames.clone(), Arc::clone(&inflight));
+        CompletionQueue::new(move |(tag, result)| {
+            if let Some((id, echo_trace)) = lock(&inflight).remove(&tag) {
+                let _ = tx.send(encode_outcome(id, echo_trace, result));
+            }
+        })
+    };
+    let mut next_tag = 0u64;
     loop {
         match wire::read_frame(&mut reader, &shared.limits) {
             Ok((Frame::Request(rf), n)) => {
                 shared.tap.frame_in(n as u64);
-                let id = rf.id;
-                let echo_trace = rf.trace.is_some();
-                let ev = match shared.server.submit(rf.into_request()) {
-                    Ok(handle) => Event::Inflight(id, echo_trace, handle),
-                    Err(e) => Event::Reject(ErrorFrame {
-                        id,
-                        code: WireErrorCode::from_serve_error(&e),
-                        message: e.to_string(),
-                    }),
-                };
-                if ev_tx.send(ev).is_err() {
-                    return;
+                let (tag, id) = (next_tag, rf.id);
+                next_tag += 1;
+                lock(&inflight).insert(tag, (id, rf.trace.is_some()));
+                if let Err(e) = shared.server.submit_tagged(rf.into_request(), tag, &done) {
+                    lock(&inflight).remove(&tag);
+                    if frames.send(encode_outcome(id, false, Err(e))).is_err() {
+                        return;
+                    }
                 }
             }
             Ok((_, n)) => {
                 // Clients have no business sending Response/Error frames.
                 shared.tap.frame_in(n as u64);
                 shared.tap.protocol_error();
-                let _ = ev_tx.send(Event::Fatal(ErrorFrame {
+                let _ = frames.send(encode_error(&ErrorFrame {
                     id: NO_REQUEST_ID,
                     code: WireErrorCode::Malformed,
                     message: "unexpected frame kind from client".into(),
@@ -326,7 +331,7 @@ fn reader_loop(stream: &TcpStream, shared: &Shared, ev_tx: &Sender<Event>) {
                     WireError::TooLarge { .. } => WireErrorCode::TooLarge,
                     _ => WireErrorCode::Malformed,
                 };
-                let _ = ev_tx.send(Event::Fatal(ErrorFrame {
+                let _ = frames.send(encode_error(&ErrorFrame {
                     id: NO_REQUEST_ID,
                     code,
                     message: e.to_string(),
@@ -337,115 +342,43 @@ fn reader_loop(stream: &TcpStream, shared: &Shared, ev_tx: &Sender<Event>) {
     }
 }
 
-/// How long the writer sleeps between in-flight polls when nothing is
-/// ready. The vendored channel library has no `select`, so completion
-/// order is discovered by polling each handle's `try_wait`.
-const POLL_IDLE: Duration = Duration::from_micros(100);
-
-fn writer_loop(stream: TcpStream, ev_rx: Receiver<Event>, tap: NetTap) {
+/// Write every frame the reader and the connection's completion queue
+/// push, as they arrive. The channel disconnects once the reader has
+/// exited and every in-flight request has been answered.
+fn writer_loop(stream: TcpStream, frames: Receiver<Vec<u8>>, tap: NetTap) {
     let mut w = BufWriter::new(stream);
-    // In-flight requests, answered in the order they FINISH: a slow
-    // request never blocks a fast one behind it on the same connection.
-    // The bool is the request's trace-echo opt-in.
-    let mut inflight: Vec<(u64, bool, ResponseHandle)> = Vec::new();
-    let mut open = true;
-
-    let mut emit = |w: &mut BufWriter<TcpStream>, bytes: &[u8]| -> bool {
-        let ok = wire::write_frame(w, bytes).is_ok();
-        if ok {
-            tap.frame_out(bytes.len() as u64);
+    while let Ok(bytes) = frames.recv() {
+        if wire::write_frame(&mut w, &bytes).is_err() {
+            // The peer is gone: the pipeline still completes the remaining
+            // requests server-side, and their frames go nowhere.
+            break;
         }
-        ok
-    };
-
-    'conn: while open || !inflight.is_empty() {
-        // Block only when there is nothing to poll; otherwise drain
-        // whatever events are already queued and go back to polling.
-        if inflight.is_empty() && open {
-            match ev_rx.recv() {
-                Ok(ev) => {
-                    if !dispatch(ev, &mut inflight, &mut w, &mut emit) {
-                        break 'conn;
-                    }
-                }
-                Err(_) => {
-                    open = false;
-                    continue;
-                }
-            }
-        }
-        loop {
-            match ev_rx.try_recv() {
-                Ok(ev) => {
-                    if !dispatch(ev, &mut inflight, &mut w, &mut emit) {
-                        break 'conn;
-                    }
-                }
-                Err(crossbeam::channel::TryRecvError::Empty) => break,
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    open = false;
-                    break;
-                }
-            }
-        }
-        // Answer every request whose handle has resolved.
-        let mut progressed = false;
-        let mut i = 0;
-        while i < inflight.len() {
-            match inflight[i].2.try_wait() {
-                Some(result) => {
-                    let (id, echo_trace, _) = inflight.swap_remove(i);
-                    progressed = true;
-                    let bytes = match result {
-                        Ok(resp) => {
-                            let frame = ResponseFrame {
-                                id,
-                                timing: resp.timing,
-                                output: resp.output,
-                                trace: if echo_trace { resp.trace } else { None },
-                            };
-                            encode_response(&frame).unwrap_or_else(|e| {
-                                encode_error(&ErrorFrame {
-                                    id,
-                                    code: WireErrorCode::Internal,
-                                    message: format!("response unencodable: {e}"),
-                                })
-                            })
-                        }
-                        Err(e) => encode_error(&ErrorFrame {
-                            id,
-                            code: WireErrorCode::from_serve_error(&e),
-                            message: e.to_string(),
-                        }),
-                    };
-                    if !emit(&mut w, &bytes) {
-                        break 'conn;
-                    }
-                }
-                None => i += 1,
-            }
-        }
-        if !progressed && !inflight.is_empty() {
-            std::thread::sleep(POLL_IDLE);
-        }
+        tap.frame_out(bytes.len() as u64);
     }
-    // A failed write means the peer is gone: remaining handles are
-    // dropped, the pipeline still completes those requests server-side.
 }
 
-/// Apply one reader event. Returns `false` when the connection is dead
-/// (write failure).
-fn dispatch(
-    ev: Event,
-    inflight: &mut Vec<(u64, bool, ResponseHandle)>,
-    w: &mut BufWriter<TcpStream>,
-    emit: &mut impl FnMut(&mut BufWriter<TcpStream>, &[u8]) -> bool,
-) -> bool {
-    match ev {
-        Event::Inflight(id, echo_trace, handle) => {
-            inflight.push((id, echo_trace, handle));
-            true
+/// The response or error frame answering request `id`.
+fn encode_outcome(id: u64, echo_trace: bool, result: Result<InferResponse, ServeError>) -> Vec<u8> {
+    match result {
+        Ok(resp) => {
+            let frame = ResponseFrame {
+                id,
+                timing: resp.timing,
+                output: resp.output,
+                trace: if echo_trace { resp.trace } else { None },
+            };
+            encode_response(&frame).unwrap_or_else(|e| {
+                encode_error(&ErrorFrame {
+                    id,
+                    code: WireErrorCode::Internal,
+                    message: format!("response unencodable: {e}"),
+                })
+            })
         }
-        Event::Reject(frame) | Event::Fatal(frame) => emit(w, &encode_error(&frame)),
+        Err(e) => encode_error(&ErrorFrame {
+            id,
+            code: WireErrorCode::from_serve_error(&e),
+            message: e.to_string(),
+        }),
     }
 }

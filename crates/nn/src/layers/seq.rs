@@ -25,12 +25,6 @@ impl Sequential {
         self
     }
 
-    /// Append a boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) -> &mut Self {
-        self.layers.push(layer);
-        self
-    }
-
     /// Number of direct child layers.
     pub fn len(&self) -> usize {
         self.layers.len()

@@ -106,11 +106,6 @@ impl Model {
         self.net.visit_params(f);
     }
 
-    /// Zero all parameter gradients.
-    pub fn zero_grads(&mut self) {
-        self.visit_params(&mut |p| p.zero_grad());
-    }
-
     /// Total number of scalar parameters.
     pub fn param_count(&mut self) -> usize {
         let mut n = 0;

@@ -462,27 +462,6 @@ pub fn save_manifest_with_policy_to(
     save_tensors_to(w, &entries)
 }
 
-/// Save a whole-model manifest to a file.
-pub fn save_manifest(
-    model: &mut Model,
-    meta: &[(String, String)],
-    path: impl AsRef<Path>,
-) -> io::Result<()> {
-    save_manifest_with_policy(model, meta, None, path)
-}
-
-/// Save a whole-model manifest with an embedded policy to a file.
-pub fn save_manifest_with_policy(
-    model: &mut Model,
-    meta: &[(String, String)],
-    policy: Option<&PrecisionPolicy>,
-    path: impl AsRef<Path>,
-) -> io::Result<()> {
-    let mut f = io::BufWriter::new(std::fs::File::create(path)?);
-    save_manifest_with_policy_to(model, meta, policy, &mut f)?;
-    f.flush()
-}
-
 /// Rebuild a model from an "ODQM" manifest written by
 /// [`save_manifest_to`]: construct the architecture from the descriptor,
 /// then install every named tensor, verifying names and shapes.
@@ -597,12 +576,6 @@ pub fn load_manifest_from(r: &mut impl Read) -> Result<ModelManifest, Checkpoint
         return Err(CheckpointError::Mismatch(format!("unexpected trailing entry {name}")));
     }
     Ok(ModelManifest { model, meta, policy })
-}
-
-/// Load a whole-model manifest from a file.
-pub fn load_manifest(path: impl AsRef<Path>) -> Result<ModelManifest, CheckpointError> {
-    let mut f = io::BufReader::new(std::fs::File::open(path)?);
-    load_manifest_from(&mut f)
 }
 
 #[cfg(test)]

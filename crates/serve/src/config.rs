@@ -35,21 +35,13 @@ pub struct ServeConfig {
     /// Run the cycle-level accelerator simulator on every batch's measured
     /// sensitivity profile and record cycles/energy in the ledger.
     pub simulate_accel: bool,
-    /// Fault injection (tests only): panic inside the worker when the Nth
-    /// batch (1-based, fleet-wide) starts executing. Exercises the
-    /// supervision path: the batch's requests must be answered with
-    /// [`crate::ServeError::Internal`] and the worker must restart with a
-    /// fresh engine. `None` (the default) injects nothing.
-    ///
-    /// Shim over the generalized [`FaultHook`] mechanism: setting this is
-    /// equivalent to installing an [`crate::fault::NthBatchFault`] in
-    /// [`fault_hook`](Self::fault_hook). Both may be set; either can trip
-    /// the panic.
-    pub fault_panic_on_batch: Option<u64>,
-    /// Generalized fault injection (tests only): a [`FaultHook`] the
-    /// worker consults as each batch starts executing. `None` (the
-    /// default) injects nothing. See [`crate::fault`] for the bundled
-    /// deterministic triggers (nth-batch, per-model, seeded-probability).
+    /// Fault injection (tests only): a [`FaultHook`] the worker consults
+    /// as each batch starts executing. A tripped hook panics the worker,
+    /// exercising the supervision path: the batch's requests are answered
+    /// with [`crate::ServeError::Internal`] and the worker restarts with a
+    /// fresh engine. `None` (the default) injects nothing. See
+    /// [`crate::fault`] for the bundled deterministic triggers (nth-batch,
+    /// per-model, seeded-probability).
     pub fault_hook: Option<Arc<dyn FaultHook>>,
     /// Per-request span tracing sink ([`crate::trace`]). Requests whose
     /// trace id the sink samples report a span at each of the five
@@ -72,7 +64,6 @@ impl Default for ServeConfig {
             workers: 2,
             default_deadline: None,
             simulate_accel: true,
-            fault_panic_on_batch: None,
             fault_hook: None,
             trace: None,
             layer_profiling: true,

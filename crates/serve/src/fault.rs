@@ -1,14 +1,13 @@
 //! Deterministic fault injection into the worker pool.
 //!
-//! [`ServeConfig::fault_panic_on_batch`](crate::ServeConfig::fault_panic_on_batch)
-//! started as a single knob: panic when the Nth batch (fleet-wide) begins
-//! executing. The chaos harness needs richer triggers — per-model faults,
-//! seeded probabilistic faults — so the knob generalizes into the
-//! [`FaultHook`] trait: the worker consults the hook at the top of every
-//! batch, *before* any engine state is touched or any lock besides the
-//! ledger is taken, and panics with a message containing
-//! `"fault injection"` when the hook says so. The old field remains as a
-//! shim (internally an [`NthBatchFault`]).
+//! A [`FaultHook`] installed in
+//! [`ServeConfig::fault_hook`](crate::ServeConfig::fault_hook) is consulted
+//! at the top of every batch, *before* any engine state is touched or any
+//! lock besides the ledger is taken, and the worker panics with a message
+//! containing `"fault injection"` when the hook says so. The bundled
+//! triggers cover the nth batch fleet-wide ([`NthBatchFault`]), the nth
+//! batch of one model ([`PerModelNthFault`]), and a seeded per-batch
+//! probability ([`SeededProbFault`]) for the chaos harness.
 //!
 //! Every trigger in this module is deterministic in its inputs (batch
 //! ordinal, model name, deployment version, seed), which is what lets a
@@ -34,8 +33,7 @@ pub trait FaultHook: Send + Sync + fmt::Debug {
     fn should_panic(&self, nth: u64, model: &str, version: u64) -> bool;
 }
 
-/// Panic when the Nth batch (1-based, fleet-wide) starts executing — the
-/// behavior of the original `fault_panic_on_batch` knob.
+/// Panic when the Nth batch (1-based, fleet-wide) starts executing.
 #[derive(Clone, Copy, Debug)]
 pub struct NthBatchFault {
     /// The fleet-wide batch ordinal to sabotage.

@@ -10,9 +10,10 @@
 //!   (admission     (capacity =      (dispatch at once  (each worker
 //!    control:       queue_depth,     to an idle worker; owns long-lived
 //!    reject when    try_send)        while all busy,    engines; weight
-//!    full)                           coalesce same      caches amortize)
-//!                                    model+shape up to     │
-//!                                    max_batch or          │
+//!    full)                           coalesce same      caches amortize;
+//!                                    model+shape until  a freed worker
+//!                                    a worker frees up, takes the oldest
+//!                                    max_batch or       forming group)
 //!                                    max_wait)             │
 //!                                                          ▼
 //!                                                  streaming stats ledger
@@ -62,7 +63,10 @@
 //! completions and service latency split out in the stats ledger.
 //!
 //! The server itself is transport-agnostic — everything enters through
-//! [`Server::submit`]. The `odq-net` crate puts a TCP front-end on top
+//! [`Server::submit`], which returns a per-request [`ResponseHandle`], or
+//! [`Server::submit_tagged`], which pushes `(tag, result)` into a caller's
+//! [`CompletionQueue`] so one thread can block on many requests at once.
+//! The `odq-net` crate puts a TCP front-end on top
 //! (the `ODQ1` length-prefixed wire protocol), streaming its
 //! connection/byte/frame counters into this crate's ledger through
 //! [`NetTap`], and its load generators drive either side of the wire via
@@ -74,9 +78,8 @@
 //! ledger, and the worker restarts with fresh engines so capacity
 //! recovers. The [`fault`] module injects such panics on demand — a
 //! [`FaultHook`] consulted at the top of every batch, with deterministic
-//! nth-batch, per-model, and seeded-probability triggers
-//! ([`ServeConfig::fault_panic_on_batch`] remains as an nth-batch shim) —
-//! so the recovery path stays tested, and the chaos harness
+//! nth-batch, per-model, and seeded-probability triggers — so the
+//! recovery path stays tested, and the chaos harness
 //! (`odq-chaos`) can drive it under schedule. Requests whose deadline
 //! is shorter than the batching window are dispatched early by the
 //! deadline-aware batcher instead of expiring in it.
@@ -108,7 +111,8 @@ pub use engine::{EngineKind, PolicyExecutor};
 pub use fault::{FaultHook, NthBatchFault, PerModelNthFault, SeededProbFault};
 pub use loadgen::{run_closed_loop, run_open_loop, LoadReport, LoadSpec, LoadTarget};
 pub use request::{
-    InferRequest, InferResponse, RequestTiming, ResponseHandle, ResponseSender, ServeError,
+    Completion, CompletionQueue, InferRequest, InferResponse, RequestTiming, ResponseHandle,
+    ResponseSender, ServeError,
 };
 pub use server::{Server, ServerBuilder};
 pub use stats::{

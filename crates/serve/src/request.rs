@@ -1,9 +1,10 @@
 //! Request/response types and the submission error taxonomy.
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use odq_tensor::Tensor;
 
 /// One inference request: a single `[1, C, H, W]` image for a named model.
@@ -26,7 +27,8 @@ pub struct InferRequest {
     /// Optional caller-chosen trace id for distributed tracing
     /// ([`crate::trace`]). Carried over the wire by `odq-net`'s
     /// `FLAG_TRACE` and echoed back in [`InferResponse::trace`]. When
-    /// `None` the server uses the request id as the trace id.
+    /// `None` the server assigns a fresh server-unique trace id (not the
+    /// request id, which callers may reuse across connections).
     pub trace: Option<u64>,
 }
 
@@ -156,6 +158,100 @@ impl ResponseHandle {
             }
         }
     }
+
+    /// Block for at most `timeout`: `None` if the request is still in
+    /// flight when it runs out.
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<InferResponse, ServeError>> {
+        match self.rx.recv_timeout(timeout) {
+            Ok(r) => Some(r),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => Some(Err(ServeError::WorkerLost)),
+        }
+    }
+}
+
+/// One entry of a [`CompletionQueue`]: the caller's tag and the
+/// request's terminal outcome.
+pub type Completion = (u64, Result<InferResponse, ServeError>);
+
+/// A caller-owned completion queue for [`crate::Server::submit_tagged`].
+///
+/// Every admitted request pushes exactly one [`Completion`] into it, from
+/// whichever pipeline thread reaches the request's terminal outcome, so
+/// one thread can block on a single channel for many requests instead of
+/// polling a handle each. The queue is a delivery function rather than a
+/// channel so a caller can wrap completions into its own event type.
+#[derive(Clone)]
+pub struct CompletionQueue(Arc<dyn Fn(Completion) + Send + Sync>);
+
+impl CompletionQueue {
+    /// A queue that hands each completion to `deliver`. `deliver` runs on
+    /// a serving thread (a worker or the batcher): it must not block.
+    pub fn new(deliver: impl Fn(Completion) + Send + Sync + 'static) -> Self {
+        Self(Arc::new(deliver))
+    }
+}
+
+impl fmt::Debug for CompletionQueue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("CompletionQueue")
+    }
+}
+
+/// Where one admitted request's terminal outcome goes. Delivery is
+/// one-shot: the first [`send`](Self::send) consumes the destination and
+/// later ones are no-ops, and a reply dropped undelivered answers
+/// [`ServeError::WorkerLost`] — so every path through the pipeline,
+/// including ones that unwind or lose a channel, answers exactly once.
+pub(crate) struct Reply(Option<ReplyTo>);
+
+enum ReplyTo {
+    /// The single-slot channel behind a [`ResponseHandle`].
+    Handle(Sender<Result<InferResponse, ServeError>>),
+    /// A caller's completion queue and the request's tag in it.
+    Queue(u64, CompletionQueue),
+}
+
+impl Reply {
+    /// A reply into a fresh [`ResponseHandle`].
+    pub(crate) fn handle() -> (Reply, ResponseHandle) {
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        (Reply(Some(ReplyTo::Handle(tx))), ResponseHandle { rx })
+    }
+
+    /// A reply pushed into `queue` under `tag`.
+    pub(crate) fn queue(tag: u64, queue: &CompletionQueue) -> Reply {
+        Reply(Some(ReplyTo::Queue(tag, queue.clone())))
+    }
+
+    /// Whether this request still awaits its terminal outcome.
+    pub(crate) fn is_pending(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Disarm without answering: admission refused the request, and the
+    /// caller learns that from `submit`'s `Err` instead.
+    pub(crate) fn cancel(&mut self) {
+        self.0 = None;
+    }
+
+    /// Deliver the terminal outcome; a no-op once delivered. A caller
+    /// that dropped its handle simply never sees the result.
+    pub(crate) fn send(&mut self, result: Result<InferResponse, ServeError>) {
+        match self.0.take() {
+            Some(ReplyTo::Handle(tx)) => {
+                let _ = tx.try_send(result);
+            }
+            Some(ReplyTo::Queue(tag, queue)) => (queue.0)((tag, result)),
+            None => {}
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        self.send(Err(ServeError::WorkerLost));
+    }
 }
 
 /// The sending half of a [`ResponseHandle::channel`] pair. Resolving is
@@ -191,6 +287,30 @@ mod tests {
     fn dropped_response_sender_is_worker_lost() {
         let (tx, h) = ResponseHandle::channel();
         drop(tx);
+        assert_eq!(h.wait().unwrap_err(), ServeError::WorkerLost);
+    }
+
+    #[test]
+    fn reply_delivers_once_and_a_dropped_one_answers_worker_lost() {
+        let (tx, rx) = bounded::<Completion>(4);
+        let q = CompletionQueue::new(move |c| {
+            let _ = tx.send(c);
+        });
+        let mut r = Reply::queue(7, &q);
+        assert!(r.is_pending());
+        r.send(Err(ServeError::Internal));
+        r.send(Err(ServeError::QueueFull));
+        assert!(!r.is_pending());
+        drop(r);
+        drop(Reply::queue(8, &q));
+        let got: Vec<_> = std::iter::from_fn(|| rx.try_recv().ok())
+            .map(|(t, res)| (t, res.unwrap_err()))
+            .collect();
+        assert_eq!(got, vec![(7, ServeError::Internal), (8, ServeError::WorkerLost)]);
+
+        let (r, h) = Reply::handle();
+        assert!(h.wait_timeout(Duration::from_millis(1)).is_none(), "still in flight");
+        drop(r);
         assert_eq!(h.wait().unwrap_err(), ServeError::WorkerLost);
     }
 

@@ -1,7 +1,7 @@
 //! The server: admission control, versioned routing, hot swap, shutdown.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -10,11 +10,11 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use odq_nn::models::Model;
 use odq_registry::ModelRegistry;
 
-use crate::batcher::{self, Batch, Pending};
+use crate::batcher::{self, lock_forming, Batch, Forming, Pending};
 use crate::config::ServeConfig;
 use crate::deploy::{DeployError, Deployment, ModelRoute, TrafficSplit};
 use crate::engine::EngineKind;
-use crate::request::{InferRequest, ResponseHandle, ServeError};
+use crate::request::{CompletionQueue, InferRequest, Reply, ResponseHandle, ServeError};
 use crate::stats::{BatchRecord, Ledger, StatsHandle, StatsSummary};
 use crate::trace::{SpanRecord, SpanStage};
 use crate::worker::{self, lock_ledger};
@@ -108,19 +108,17 @@ impl ServerBuilder {
         // Small buffer: workers pull batches as they free up, and a full
         // channel backpressures the batcher (and through it, admission).
         let (batch_tx, batch_rx) = bounded::<Batch>(cfg.workers.max(1) * 2);
-        // Workers blocked waiting for a batch: the batcher dispatches a
-        // forming group at once while this exceeds the batches queued.
-        // A scheduling hint that publishes no data (batches travel on the
-        // channel), so `Relaxed` suffices; a stale read costs at most one
-        // early or late flush.
-        let idle = Arc::new(AtomicUsize::new(0));
+        // Forming groups and idle workers, shared by the batcher (which
+        // adds arrivals and dispatches to idle workers) and the workers
+        // (which take the oldest group as they free up).
+        let forming = Arc::new(Mutex::new(Forming::default()));
 
         let b_ledger = Arc::clone(&ledger);
         let b_cfg = cfg.clone();
-        let b_idle = Arc::clone(&idle);
+        let b_forming = Arc::clone(&forming);
         let batcher = std::thread::Builder::new()
             .name("odq-serve-batcher".into())
-            .spawn(move || batcher::run(submit_rx, batch_tx, b_cfg, b_ledger, b_idle))
+            .spawn(move || batcher::run(submit_rx, batch_tx, b_cfg, b_ledger, b_forming))
             .expect("spawn batcher");
 
         let n_workers = cfg.workers.max(1);
@@ -130,10 +128,10 @@ impl ServerBuilder {
                 let ledger = Arc::clone(&ledger);
                 let kind = self.engine.clone();
                 let w_cfg = cfg.clone();
-                let w_idle = Arc::clone(&idle);
+                let w_forming = Arc::clone(&forming);
                 std::thread::Builder::new()
                     .name(format!("odq-serve-worker-{i}"))
-                    .spawn(move || worker::run(rx, kind, w_cfg, ledger, w_idle))
+                    .spawn(move || worker::run(rx, kind, w_cfg, ledger, w_forming))
                     .expect("spawn worker")
             })
             .collect();
@@ -142,7 +140,7 @@ impl ServerBuilder {
         drop(batch_rx);
         // Return only once every worker waits for work, so the first
         // requests find the pool idle instead of sitting out max_wait.
-        while idle.load(Ordering::Relaxed) < n_workers && !workers.iter().any(|w| w.is_finished()) {
+        while lock_forming(&forming).idle < n_workers && !workers.iter().any(|w| w.is_finished()) {
             std::thread::yield_now();
         }
 
@@ -198,6 +196,33 @@ impl Server {
     /// [`deploy`](Self::deploy) or [`rollback`](Self::rollback) can never
     /// tear it — it executes wholly on the version admission chose.
     pub fn submit(&self, req: InferRequest) -> Result<ResponseHandle, ServeError> {
+        self.enqueue(req, Reply::handle)
+    }
+
+    /// [`submit`](Self::submit), delivering the outcome as `(tag, result)`
+    /// into the caller's completion queue instead of a per-request handle.
+    ///
+    /// An admitted request (`Ok`) pushes exactly one completion, on every
+    /// terminal path: its response, a deadline expiry, a worker panic, a
+    /// lost pipeline, or the shutdown drain. A request admission refuses
+    /// (`Err`) pushes nothing. One consumer can therefore block on a
+    /// single queue for any number of requests.
+    pub fn submit_tagged(
+        &self,
+        req: InferRequest,
+        tag: u64,
+        queue: &CompletionQueue,
+    ) -> Result<(), ServeError> {
+        self.enqueue(req, || (Reply::queue(tag, queue), ()))
+    }
+
+    /// Admit `req` into the submission queue with the reply `make` builds
+    /// (only once admission is past its early checks).
+    fn enqueue<T>(
+        &self,
+        req: InferRequest,
+        make: impl FnOnce() -> (Reply, T),
+    ) -> Result<T, ServeError> {
         let id = req.id.unwrap_or_else(|| self.seq.fetch_add(1, Ordering::Relaxed));
         let dep = match self.admit(&req, id) {
             Ok(dep) => dep,
@@ -229,9 +254,8 @@ impl Server {
         // deterministic submission order sample the same requests.
         let trace = req.trace.unwrap_or_else(|| self.seq.fetch_add(1, Ordering::Relaxed));
         let traced = self.cfg.trace.as_ref().is_some_and(|s| s.sample(trace));
-        let (resp_tx, resp_rx) = bounded(1);
-        let pending =
-            Pending { req, dep, resp: resp_tx, enqueued: now, deadline, id, trace, traced };
+        let (reply, out) = make();
+        let pending = Pending { req, dep, reply, enqueued: now, deadline, id, trace, traced };
         // The submit span's metadata must outlive the move into try_send.
         let span_meta = traced.then(|| (pending.dep.name.clone(), pending.dep.version));
         match tx.try_send(pending) {
@@ -250,13 +274,16 @@ impl Server {
                 let mut led = lock_ledger(&self.ledger);
                 led.admitted += 1;
                 led.note_queue_depth(tx.len());
-                Ok(ResponseHandle { rx: resp_rx })
+                Ok(out)
             }
-            Err(TrySendError::Full(_)) => {
+            // Refused: the caller learns so from this `Err`, not the reply.
+            Err(TrySendError::Full(mut p)) => {
+                p.reply.cancel();
                 lock_ledger(&self.ledger).rejected_queue_full += 1;
                 Err(ServeError::QueueFull)
             }
-            Err(TrySendError::Disconnected(_)) => {
+            Err(TrySendError::Disconnected(mut p)) => {
+                p.reply.cancel();
                 lock_ledger(&self.ledger).rejected_shutdown += 1;
                 Err(ServeError::ShuttingDown)
             }

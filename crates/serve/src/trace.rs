@@ -4,7 +4,9 @@
 //! Every request gets a trace id at admission — the caller's own
 //! ([`crate::InferRequest::with_trace`], carried over the wire by the
 //! `odq-net` `FLAG_TRACE` request flag and echoed in responses) or, by
-//! default, the request id itself. A [`TraceSink`] installed in
+//! default, a fresh server-unique sequence number. (Not the request id:
+//! callers may reuse request ids across connections, and two requests
+//! sharing a trace id would interleave their spans.) A [`TraceSink`] installed in
 //! [`crate::ServeConfig::trace`] decides *once per request* whether that
 //! trace is sampled ([`TraceSink::sample`] — required to be a pure
 //! function of the trace id so chaos replay determinism survives), and
@@ -70,7 +72,7 @@ impl fmt::Display for SpanStage {
 /// One stage of one sampled request's journey through the pipeline.
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
-    /// The request's trace id (caller-supplied or the request id).
+    /// The request's trace id (caller-supplied or a fresh server-unique id).
     pub trace: u64,
     /// The request id the span belongs to.
     pub request: u64,

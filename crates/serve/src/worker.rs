@@ -13,22 +13,28 @@
 //! hot swap needs no worker coordination at all: old batches execute
 //! their old snapshot, new batches bring the new one.
 //!
+//! # Dispatch
+//!
+//! A worker that finishes a batch does not wait to be handed the next one:
+//! it takes a batch already queued on the channel, else the oldest forming
+//! group straight from the batcher's shared state
+//! ([`batcher::next_batch`]), and only blocks when there is no work at all.
+//!
 //! # Supervision
 //!
 //! A panic anywhere inside batch execution (engine bug, model bug,
 //! injected fault) must not take serving capacity down with it, and must
-//! not leave the batch's clients hanging on a dead channel. Each worker
-//! runs a *self-restarting shell*: one "shift" ([`run_shift`]) owns the
-//! engines and serves batches with execution wrapped in `catch_unwind`.
-//! When a batch panics, the shell answers every request in that batch
-//! with [`ServeError::Internal`], records the panic in the ledger, throws
-//! the shift's engines away (their state is suspect mid-unwind), and
-//! starts a fresh shift — capacity recovers without the `Server` having
-//! to notice.
+//! not leave the batch's clients hanging. Each worker runs a
+//! *self-restarting shell*: one "shift" ([`run_shift`]) owns the engines
+//! and serves batches with execution wrapped in `catch_unwind`. The shell
+//! keeps ownership of the batch, so when it panics every request in it
+//! that is still unanswered gets [`ServeError::Internal`], the panic is
+//! recorded in the ledger, the shift's engines are thrown away (their
+//! state is suspect mid-unwind), and a fresh shift starts — capacity
+//! recovers without the `Server` having to notice.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -36,7 +42,7 @@ use crossbeam::channel::Receiver;
 use odq_accel::{simulate_network, EnergyModel, LayerWorkload};
 use odq_tensor::Tensor;
 
-use crate::batcher::{record_spans, Batch};
+use crate::batcher::{self, record_spans, Batch, Forming};
 use crate::config::ServeConfig;
 use crate::engine::{EngineExec, EngineKind, Profiled, RouteProfile};
 use crate::request::{InferResponse, RequestTiming, ServeError};
@@ -64,22 +70,20 @@ enum ShiftEnd {
 /// worker's footprint.
 const ENGINES_PER_MODEL: usize = 2;
 
-/// Serve batches until the batch channel disconnects. While blocked
-/// waiting for a batch the worker counts itself in `idle`, which tells
-/// the batcher it may dispatch a forming group at once.
+/// Serve batches until the batch channel disconnects.
 pub(crate) fn run(
     rx: Receiver<Batch>,
     kind: EngineKind,
     cfg: ServeConfig,
     ledger: Arc<Mutex<Ledger>>,
-    idle: Arc<AtomicUsize>,
+    forming: Arc<Mutex<Forming>>,
 ) {
     let energy = EnergyModel::default();
     // The ledger label is the same for every batch this worker ever
     // serves: intern it once instead of allocating a String per record.
     let label: Arc<str> = Arc::from(kind.label().as_ref());
     loop {
-        match run_shift(&rx, &idle, &kind, &label, &cfg, &ledger, &energy) {
+        match run_shift(&rx, &forming, &kind, &label, &cfg, &ledger, &energy) {
             ShiftEnd::Disconnected => break,
             ShiftEnd::Panicked => lock_ledger(&ledger).worker_restarts += 1,
         }
@@ -88,7 +92,7 @@ pub(crate) fn run(
 
 fn run_shift(
     rx: &Receiver<Batch>,
-    idle: &AtomicUsize,
+    forming: &Mutex<Forming>,
     kind: &EngineKind,
     label: &Arc<str>,
     cfg: &ServeConfig,
@@ -96,23 +100,18 @@ fn run_shift(
     energy: &EnergyModel,
 ) -> ShiftEnd {
     let mut engines: HashMap<(String, u64), EngineExec> = HashMap::new();
-    loop {
-        idle.fetch_add(1, Ordering::Relaxed);
-        let received = rx.recv();
-        idle.fetch_sub(1, Ordering::Relaxed);
-        let Ok(batch) = received else { break };
-        // Keep a second handle to every response channel so a panicking
-        // batch can still be answered after its `Pending`s unwound away.
-        let senders: Vec<_> = batch.items.iter().map(|p| p.resp.clone()).collect();
+    while let Some(mut batch) = batcher::next_batch(rx, forming, cfg, ledger) {
         let executed = catch_unwind(AssertUnwindSafe(|| {
-            serve_batch(batch, kind, label, cfg, ledger, &mut engines, energy);
+            serve_batch(&mut batch, kind, label, cfg, ledger, &mut engines, energy);
         }));
         if executed.is_err() {
-            // `try_send`: a request answered before the panic has its
-            // single response slot full already — leave it be and count
+            // A request answered before the panic keeps its answer; count
             // only the requests this error actually reaches.
-            let answered =
-                senders.iter().filter(|tx| tx.try_send(Err(ServeError::Internal)).is_ok()).count();
+            let mut answered = 0;
+            for p in batch.items.iter_mut().filter(|p| p.reply.is_pending()) {
+                p.reply.send(Err(ServeError::Internal));
+                answered += 1;
+            }
             lock_ledger(ledger).record_worker_panic(answered);
             return ShiftEnd::Panicked;
         }
@@ -120,8 +119,11 @@ fn run_shift(
     ShiftEnd::Disconnected
 }
 
+/// Execute one batch in place, answering every member. The batch stays
+/// owned by the caller so a panic part-way leaves the unanswered members
+/// reachable by the supervision shell.
 fn serve_batch(
-    batch: Batch,
+    batch: &mut Batch,
     kind: &EngineKind,
     label: &Arc<str>,
     cfg: &ServeConfig,
@@ -139,13 +141,10 @@ fn serve_batch(
         led.batches_started += 1;
         let nth = led.batches_started;
         drop(led);
-        // Both fault mechanisms fire *before* any engine state is touched,
-        // so an injected panic never leaves a half-updated engine behind —
+        // The fault hook fires *before* any engine state is touched, so
+        // an injected panic never leaves a half-updated engine behind —
         // the supervision shell discards the shift's engines anyway, but
         // the injection point guarantees the shared plan cache is clean.
-        if cfg.fault_panic_on_batch == Some(nth) {
-            panic!("fault injection: panicking on batch {nth}");
-        }
         if let Some(hook) = &cfg.fault_hook {
             if hook.should_panic(nth, &batch.dep.name, batch.dep.version) {
                 panic!(
@@ -159,22 +158,24 @@ fn serve_batch(
     // Last-chance deadline check: a batch can sit in the dispatch channel
     // behind busy workers; anything already expired is answered as missed
     // rather than burning a forward pass on it.
-    let (live, expired): (Vec<_>, Vec<_>) =
-        batch.items.into_iter().partition(|p| p.deadline.is_none_or(|d| d > dequeued));
-    if !expired.is_empty() {
-        lock_ledger(ledger).rejected_deadline += expired.len() as u64;
-        for p in expired {
-            let _ = p.resp.send(Err(ServeError::DeadlineExceeded));
-        }
+    let expired = batch.items.iter().filter(|p| p.expired(dequeued)).count();
+    if expired > 0 {
+        lock_ledger(ledger).rejected_deadline += expired as u64;
+        batch.items.retain_mut(|p| {
+            let live = !p.expired(dequeued);
+            if !live {
+                p.reply.send(Err(ServeError::DeadlineExceeded));
+            }
+            live
+        });
     }
-    if live.is_empty() {
+    if batch.items.is_empty() {
         return;
     }
-    let batch = Batch { dep: batch.dep, items: live };
     record_spans(cfg, &batch.items, SpanStage::WorkerDequeue, dequeued, None);
 
     let n = batch.items.len();
-    let dep = &batch.dep;
+    let dep = Arc::clone(&batch.dep);
     let model = &*dep.model;
 
     // Gather [1,C,H,W] inputs into one [N,C,H,W] tensor.
@@ -340,9 +341,9 @@ fn serve_batch(
     // guaranteed the full five-stage trace is already in the sink — the
     // same barrier discipline as the ledger above.
     record_spans(cfg, &batch.items, SpanStage::ResponseScatter, done, None);
-    for ((i, p), timing) in batch.items.into_iter().enumerate().zip(timings) {
+    for ((i, p), timing) in batch.items.iter_mut().enumerate().zip(timings) {
         let row = ys[i * classes..(i + 1) * classes].to_vec();
-        let _ = p.resp.send(Ok(InferResponse {
+        p.reply.send(Ok(InferResponse {
             output: Tensor::from_vec(vec![1, classes], row),
             timing,
             trace: Some(p.trace),

@@ -131,13 +131,6 @@ impl<T: Copy> Tensor<T> {
         Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }
     }
 
-    /// Apply a function elementwise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(T) -> T) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Borrow the `i`-th outermost slice (e.g. one image of an NCHW batch)
     /// as a flat slice of length `numel / dims[0]`.
     pub fn outer(&self, i: usize) -> &[T] {

@@ -1,6 +1,6 @@
 //! Supervision and terminal-outcome properties of odq-serve under faults.
 //!
-//! 1. **Fault injection** — with `fault_panic_on_batch` armed, the
+//! 1. **Fault injection** — with an [`NthBatchFault`] hook armed, the
 //!    sabotaged batch's requests are all answered
 //!    [`ServeError::Internal`], the worker shift restarts with fresh
 //!    engines, later requests are served normally, and the ledger's
@@ -11,11 +11,15 @@
 //!    panics and immediate shutdown, every submitted request resolves to
 //!    exactly one terminal outcome: an admission error at `submit`, or a
 //!    single response (`Ok`, `DeadlineExceeded`, or `Internal`) on its
-//!    handle — never zero, never two.
+//!    handle or, for [`Server::submit_tagged`], a single completion in
+//!    the caller's queue — never zero, never two.
+//! 3. **Freed worker** — a request that arrives while every worker is
+//!    busy is taken by the first worker to free up, not left to wait out
+//!    `max_wait`.
 
 use std::panic;
-use std::sync::Once;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Barrier, Once};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -24,7 +28,10 @@ use rand_chacha::ChaCha8Rng;
 
 use odq::nn::models::{Model, ModelCfg};
 use odq::nn::Arch;
-use odq::serve::{EngineKind, InferRequest, ServeConfig, ServeError, Server};
+use odq::serve::{
+    CompletionQueue, EngineKind, FaultHook, InferRequest, NthBatchFault, ServeConfig, ServeError,
+    Server,
+};
 use odq::tensor::Tensor;
 
 /// Injected faults unwind with an intentional panic; the default hook
@@ -78,7 +85,7 @@ fn injected_panic_answers_batch_and_pool_recovers() {
         max_wait: Duration::from_millis(100),
         workers: 2,
         simulate_accel: false,
-        fault_panic_on_batch: Some(1),
+        fault_hook: Some(Arc::new(NthBatchFault::new(1))),
         ..ServeConfig::default()
     };
     let s = server(cfg);
@@ -108,10 +115,62 @@ fn injected_panic_answers_batch_and_pool_recovers() {
     assert_eq!(sum.admitted, sum.completed + sum.internal_errors);
 }
 
+/// Parks the worker serving the first batch — after meeting the test at
+/// a barrier, so the test knows the only worker is busy — then lets it run
+/// normally. Never panics.
+#[derive(Debug)]
+struct ParkFirstBatch {
+    entered: Barrier,
+    hold: Duration,
+}
+
+impl FaultHook for ParkFirstBatch {
+    fn should_panic(&self, nth: u64, _model: &str, _version: u64) -> bool {
+        if nth == 1 {
+            self.entered.wait();
+            std::thread::sleep(self.hold);
+        }
+        false
+    }
+}
+
+/// A request that arrives while the only worker is busy forms a group no
+/// arrival or timer will flush for `max_wait` (5 s). The worker, once it
+/// finishes, must take that group itself.
+#[test]
+fn freed_worker_takes_the_waiting_group_without_waiting_out_max_wait() {
+    let hook =
+        Arc::new(ParkFirstBatch { entered: Barrier::new(2), hold: Duration::from_millis(100) });
+    let cfg = ServeConfig {
+        max_wait: Duration::from_secs(5),
+        workers: 1,
+        simulate_accel: false,
+        fault_hook: Some(hook.clone()),
+        ..ServeConfig::default()
+    };
+    let s = server(cfg);
+    let first = s.submit(InferRequest::new("lenet", image(0))).unwrap();
+    // The only worker is now parked inside the first batch.
+    hook.entered.wait();
+    let t0 = Instant::now();
+    let second = s.submit(InferRequest::new("lenet", image(1))).unwrap();
+    second.wait().expect("the waiting request is served");
+    let waited = t0.elapsed();
+    first.wait().expect("the parked batch is served");
+    assert!(
+        waited < Duration::from_secs(2),
+        "the freed worker must take the waiting group; it waited {waited:?}"
+    );
+    let sum = s.shutdown();
+    assert_eq!(sum.batches, 2, "the two requests never shared a batch");
+    assert!(sum.reconcile().is_balanced(), "{}", sum.reconcile());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every submitted request gets exactly one terminal outcome, and the
+    /// Every submitted request gets exactly one terminal outcome — on its
+    /// handle, or as one completion in the caller's queue — and the
     /// ledger's counters match the outcomes the clients actually saw.
     #[test]
     fn every_request_gets_exactly_one_terminal_outcome(
@@ -132,15 +191,21 @@ proptest! {
             workers,
             default_deadline: None,
             simulate_accel: false,
-            fault_panic_on_batch: (fault_batch > 0).then_some(fault_batch),
-            fault_hook: None,
+            fault_hook: (fault_batch > 0)
+                .then(|| Arc::new(NthBatchFault::new(fault_batch)) as Arc<dyn FaultHook>),
             trace: None,
             layer_profiling: true,
         };
         let s = server(cfg);
+        let (done_tx, done_rx) = mpsc::channel();
+        let queue = CompletionQueue::new(move |c| {
+            let _ = done_tx.send(c);
+        });
 
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut handles = Vec::new();
+        // Tags of the requests admitted through the completion queue.
+        let mut tagged = Vec::new();
         let mut queue_full = 0u64;
         for i in 0..n_requests {
             let mut req = InferRequest::new("lenet", image(i));
@@ -153,37 +218,56 @@ proptest! {
                 // legal, but there must be exactly one.
                 req = req.with_deadline(Duration::from_micros(rng.gen_range(1..2_000)));
             }
-            match s.submit(req) {
-                Ok(h) => handles.push(h),
+            let admitted = if rng.gen_bool(0.5) {
+                s.submit(req).map(|h| handles.push(h))
+            } else {
+                s.submit_tagged(req, i as u64, &queue).map(|()| tagged.push(i as u64))
+            };
+            match admitted {
+                Ok(()) => {}
                 Err(ServeError::QueueFull) => queue_full += 1,
                 Err(e) => prop_assert!(false, "unexpected admission error {}", e),
             }
         }
 
         // Immediate shutdown: drains the queue, flushes every group, joins
-        // all workers. Afterwards every handle must hold its one outcome.
+        // all workers. Afterwards every handle must hold its one outcome
+        // and the queue one completion per tagged request.
         let sum = s.shutdown();
-        prop_assert_eq!(sum.admitted, handles.len() as u64);
+        prop_assert_eq!(sum.admitted, (handles.len() + tagged.len()) as u64);
         prop_assert_eq!(sum.rejected_queue_full, queue_full);
 
-        let mut completed = 0u64;
-        let mut deadline = 0u64;
-        let mut internal = 0u64;
+        let mut outcomes = Vec::new();
         for h in &handles {
             match h.try_wait() {
-                Some(Ok(_)) => completed += 1,
-                Some(Err(ServeError::DeadlineExceeded)) => deadline += 1,
-                Some(Err(ServeError::Internal)) => internal += 1,
-                Some(Err(e)) => prop_assert!(false, "unexpected terminal error {}", e),
+                Some(r) => outcomes.push(r),
                 None => prop_assert!(false, "request left unanswered after shutdown"),
             }
             // The single response slot is spent: polling again never
             // yields a second outcome.
             prop_assert!(matches!(h.try_wait(), None | Some(Err(ServeError::WorkerLost))));
         }
+        let completions: Vec<_> = done_rx.try_iter().collect();
+        let mut tags: Vec<u64> = completions.iter().map(|(tag, _)| *tag).collect();
+        tags.sort_unstable();
+        prop_assert_eq!(&tags, &tagged, "one completion per tagged request, none for refused ones");
+        outcomes.extend(completions.into_iter().map(|(_, r)| r));
+
+        let mut completed = 0u64;
+        let mut deadline = 0u64;
+        let mut internal = 0u64;
+        for r in outcomes {
+            match r {
+                Ok(_) => completed += 1,
+                Err(ServeError::DeadlineExceeded) => deadline += 1,
+                Err(ServeError::Internal) => internal += 1,
+                Err(e) => prop_assert!(false, "unexpected terminal error {}", e),
+            }
+        }
         prop_assert_eq!(completed, sum.completed);
         prop_assert_eq!(deadline, sum.rejected_deadline);
         prop_assert_eq!(internal, sum.internal_errors);
         prop_assert_eq!(sum.worker_restarts, sum.worker_panics);
+        prop_assert!(sum.reconcile().is_balanced(), "{}", sum.reconcile());
     }
 }
