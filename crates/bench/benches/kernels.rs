@@ -7,8 +7,8 @@ use odq_core::{odq_conv2d, odq_conv2d_planned, OdqCfg};
 use odq_quant::plan::{PlanSpec, QConvPlan};
 use odq_quant::qconv::qconv2d_products;
 use odq_quant::quantize_activation;
-use odq_tensor::gemm::gemm_f32;
-use odq_tensor::im2col::{im2col, im2row_into};
+use odq_tensor::gemm::{gemm_f32, padded_stride, Kernel, PaddedRows};
+use odq_tensor::im2col::{im2col, im2row_into, ROW_SLACK};
 use odq_tensor::workspace::WorkspacePool;
 use odq_tensor::{ConvGeom, Tensor};
 
@@ -26,18 +26,25 @@ fn bench_gemm(c: &mut Criterion) {
     let g = ConvGeom::new(16, 64, 16, 16, 3, 1, 1);
     let x = Tensor::from_vec(g.input_shape(1), (0..16 * 256).map(|i| (i % 15) as i16).collect());
     let w: Vec<i16> = (0..m * k).map(|i| (i % 15) as i16).collect();
+    let w = PaddedRows::from_filters(&w, 16, 3);
     let pool = WorkspacePool::new();
-    c.bench_function("qconv2d_products i32 64x144x256", |bch| {
-        bch.iter(|| qconv2d_products::<i32>(&x, &w, &g, &pool))
-    });
+    for kernel in Kernel::supported() {
+        c.bench_function(&format!("qconv2d_products i32 64x144x256 {}", kernel.name()), |bch| {
+            bch.iter(|| qconv2d_products::<i32>(&x, w.view(), &g, &pool, kernel))
+        });
+    }
 }
 
 fn bench_im2col(c: &mut Criterion) {
     let g = ConvGeom::new(16, 16, 32, 32, 3, 1, 1);
     let x: Vec<f32> = (0..16 * 32 * 32).map(|i| (i % 100) as f32 / 100.0).collect();
     c.bench_function("im2col 16x32x32 k3", |bch| bch.iter(|| im2col(&x, &g)));
-    let mut rows = vec![0.0f32; g.col_len() * g.out_spatial()];
-    c.bench_function("im2row 16x32x32 k3", |bch| bch.iter(|| im2row_into(&x, &g, &mut rows)));
+    let stride = padded_stride(g.col_len());
+    let rows_len = stride * g.out_spatial() + ROW_SLACK;
+    let (mut padded, mut rows) = (Vec::new(), vec![0.0f32; rows_len]);
+    c.bench_function("im2row 16x32x32 k3", |bch| {
+        bch.iter(|| im2row_into(&x, &g, &mut padded, &mut rows, stride))
+    });
 }
 
 fn bench_quantize(c: &mut Criterion) {

@@ -8,7 +8,7 @@
 //! machine, plus the historical pre-refactor `before`. ODQ runs the one
 //! planned kernel with recording off, as serving does apart from its mask
 //! counts; DRQ (the INT8-INT4 pair) runs its planned kernel with recording
-//! off.
+//! off. The output names the integer kernel body the CPU detection picked.
 //!
 //! Usage: `bench_conv_plan [tag] [batch] [reps]` (defaults: run, 16, 6).
 
@@ -20,6 +20,7 @@ use odq_drq::{DrqCfg, DrqEngine};
 use odq_nn::executor::{ConvExecutor, FloatConvExecutor, StaticQuantExecutor};
 use odq_nn::models::{Model, ModelCfg};
 use odq_nn::Arch;
+use odq_tensor::gemm::Kernel;
 use odq_tensor::Tensor;
 
 fn time_forward(model: &Model, x: &Tensor, exec: &mut dyn ConvExecutor, reps: usize) -> f64 {
@@ -61,7 +62,11 @@ fn main() {
     let ips_drq = time_forward(&model, x, &mut drq, reps);
     results.push(("drq", ips_drq));
 
-    println!("ResNet-20 forward throughput (batch {batch}, {reps} reps), images/sec:");
+    let kernel = Kernel::detected().name();
+    println!(
+        "ResNet-20 forward throughput (batch {batch}, {reps} reps, {kernel} integer kernel), \
+         images/sec:"
+    );
     for (name, ips) in &results {
         println!("  {name:>6}: {ips:10.2}");
     }
@@ -70,6 +75,7 @@ fn main() {
         "model": "resnet20-small",
         "batch": batch,
         "reps": reps,
+        "kernel": kernel,
         "images_per_sec": {
             "float": ips_float,
             "int4": ips_int4,

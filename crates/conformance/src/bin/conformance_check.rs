@@ -3,8 +3,9 @@
 //! Modes:
 //!
 //! * `conformance_check` — random differential sweep: sample layer specs,
-//!   run every engine path against the scalar oracle, and on failure
-//!   print a minimized reproducer. `--cases N` controls the sample count
+//!   run every engine path against the scalar oracle (the planned integer
+//!   paths once more per kernel body the CPU supports, named in the
+//!   output), and on failure print a minimized reproducer. `--cases N` controls the sample count
 //!   (default 32), `--seed S` the sampling stream.
 //! * `conformance_check --verify-fixtures` — recompute the committed
 //!   goldens under `tests/fixtures/` and fail on any drift (the CI gate).
@@ -15,6 +16,7 @@ use std::process::ExitCode;
 
 use odq_conformance::fixtures::{fixtures_dir, regenerate_into, verify_against};
 use odq_conformance::{minimize, run_layer_diff, LayerSpecStrategy};
+use odq_tensor::gemm::Kernel;
 use proptest::prelude::{Strategy, TestRng};
 
 fn usage() -> ExitCode {
@@ -80,7 +82,10 @@ fn main() -> ExitCode {
         };
     }
 
-    // Default mode: random differential sweep.
+    // Default mode: random differential sweep. The planned static, ODQ
+    // and DRQ paths also run once per kernel body this CPU supports.
+    let bodies: Vec<&str> = Kernel::supported().into_iter().map(Kernel::name).collect();
+    println!("kernel bodies: {} (drivers run {})", bodies.join(", "), Kernel::detected().name());
     let mut rng = TestRng::new(seed);
     let strategy = LayerSpecStrategy::default();
     let mut failed = 0usize;

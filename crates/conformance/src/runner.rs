@@ -9,14 +9,15 @@
 //! failing geometry for triage.
 
 use odq_core::engine::OdqEngine;
-use odq_core::odq_conv::{odq_conv2d, odq_conv2d_planned, OdqCfg};
-use odq_drq::drq_conv::{drq_conv2d, drq_conv2d_planned, DrqCfg};
+use odq_core::odq_conv::{odq_conv2d, odq_conv2d_planned, odq_conv2d_planned_on, OdqCfg};
+use odq_drq::drq_conv::{drq_conv2d, drq_conv2d_planned, drq_conv2d_planned_on, DrqCfg};
 use odq_drq::DrqEngine;
 use odq_nn::executor::{add_bias, ConvCtx, ConvExecutor, FloatConvExecutor, StaticQuantExecutor};
 use odq_quant::plan::{PlanCache, PlanSpec};
-use odq_quant::qconv::{qconv2d, qconv2d_with};
+use odq_quant::qconv::{qconv2d, qconv2d_planned, qconv2d_planned_on};
 use odq_quant::{quantize_activation, quantize_weights, quantize_weights_symmetric};
 use odq_tensor::conv::conv2d;
+use odq_tensor::gemm::Kernel;
 use odq_tensor::{ConvGeom, Tensor};
 
 use crate::oracle::{
@@ -291,8 +292,13 @@ pub fn run_layer_diff(spec: &LayerSpec) -> DiffReport {
     paths.push(report("static8/qconv2d", PathClass::Integer, &oracle_s8, y.as_slice(), 0));
     let plans = PlanCache::new();
     let plan = plans.plan_for("conformance", &w, PlanSpec::static_quant(8));
-    let y = with_b(qconv2d_with(&qx, &plan.qw, &g, plans.pool()));
+    let y = with_b(qconv2d_planned(&qx, &plan, &g, plans.pool()));
     paths.push(report("static8/planned", PathClass::Integer, &oracle_s8, y.as_slice(), 0));
+    for kernel in Kernel::supported() {
+        let y = with_b(qconv2d_planned_on(&qx, &plan, &g, plans.pool(), kernel));
+        let label = body_label("static8", kernel);
+        paths.push(report(label, PathClass::Integer, &oracle_s8, y.as_slice(), 0));
+    }
     let y = StaticQuantExecutor::int(8).conv(&ctx, &x);
     paths.push(report("static8/executor", PathClass::Integer, &oracle_s8, y.as_slice(), 0));
 
@@ -313,18 +319,22 @@ pub fn run_layer_diff(spec: &LayerSpec) -> DiffReport {
     let cfg = OdqCfg::int4(spec.odq_threshold());
     let oracle_odq = ref_odq_conv2d(x.as_slice(), w.as_slice(), bias, n, &g, &cfg);
     let per_call = odq_conv2d(&x, &w, bias, &g, &cfg);
-    let planned = {
-        let plans = PlanCache::new();
-        let plan = plans.plan_for("conformance", &w, PlanSpec::odq(cfg.w_bits, cfg.low_bits));
-        let qx4 = quantize_activation(&x, cfg.a_bits, cfg.a_clip);
-        odq_conv2d_planned(&qx4, &plan, bias, &g, &cfg, plans.pool())
-    };
+    let plans = PlanCache::new();
+    let plan = plans.plan_for("conformance", &w, PlanSpec::odq(cfg.w_bits, cfg.low_bits));
+    let qx4 = quantize_activation(&x, cfg.a_bits, cfg.a_clip);
+    let planned = odq_conv2d_planned(&qx4, &plan, bias, &g, &cfg, plans.pool());
     for (label, out, mask) in [
         ("odq/per-call", &per_call.output, &per_call.mask),
         ("odq/planned", &planned.output, &planned.mask),
     ] {
         let mm = mask_mismatch(&oracle_odq.mask, mask.bits());
         paths.push(report(label, PathClass::Integer, &oracle_odq.output, out.as_slice(), mm));
+    }
+    for kernel in Kernel::supported() {
+        let r = odq_conv2d_planned_on(&qx4, &plan, bias, &g, &cfg, plans.pool(), kernel);
+        let mm = mask_mismatch(&oracle_odq.mask, r.mask.bits());
+        let label = body_label("odq", kernel);
+        paths.push(report(label, PathClass::Integer, &oracle_odq.output, r.output.as_slice(), mm));
     }
     // The per-call form also returns the exact-INT4 reference; pin it too.
     paths.push(report(
@@ -371,11 +381,32 @@ pub fn run_layer_diff(spec: &LayerSpec) -> DiffReport {
         r.output.as_slice(),
         mm,
     ));
+    for kernel in Kernel::supported() {
+        let r = drq_conv2d_planned_on(&x, &plan, bias, &g, &dcfg, plans.pool(), kernel);
+        let mm = mask_mismatch(&oracle_drq.input_mask, &r.input_mask);
+        let label = body_label("drq", kernel);
+        paths.push(report(label, PathClass::Integer, &oracle_drq.output, r.output.as_slice(), mm));
+    }
     let mut engine = DrqEngine::new(dcfg);
     let y = engine.conv(&ctx, &x);
     paths.push(report("drq/engine", PathClass::Integer, &oracle_drq.output, y.as_slice(), 0));
 
     DiffReport { spec: *spec, paths }
+}
+
+/// The label of a planned path forced onto one kernel body, e.g.
+/// `"odq/planned-avx2"`. The unsuffixed `…/planned` paths run the body the
+/// CPU detection picks.
+fn body_label(route: &str, kernel: Kernel) -> &'static str {
+    match (route, kernel.name()) {
+        ("static8", "portable") => "static8/planned-portable",
+        ("static8", "avx2") => "static8/planned-avx2",
+        ("odq", "portable") => "odq/planned-portable",
+        ("odq", "avx2") => "odq/planned-avx2",
+        ("drq", "portable") => "drq/planned-portable",
+        ("drq", "avx2") => "drq/planned-avx2",
+        _ => unreachable!("no conformance label for {route} on {}", kernel.name()),
+    }
 }
 
 /// Shrink a failing spec toward a smallest still-failing one by greedily

@@ -4,7 +4,7 @@ use odq_quant::plan::{PlanSpec, QConvPlan};
 use odq_quant::predict::odq_estimate_precomputed;
 use odq_quant::qconv::qconv2d;
 use odq_quant::{quantize_activation, QTensor};
-use odq_tensor::gemm::dot_i16;
+use odq_tensor::gemm::Kernel;
 use odq_tensor::workspace::WorkspacePool;
 use odq_tensor::{ConvGeom, Tensor};
 use rayon::prelude::*;
@@ -98,16 +98,18 @@ pub fn odq_int4_reference(
 /// an executor that runs only on sensitive outputs, as the accelerator
 /// does.
 ///
-/// Each image is lowered once, pixel-major (one contiguous `col_len` row
-/// of activation codes per output pixel), and the high bit plane is
-/// derived from those rows. The predictor computes `HH = Σ a_H·n_H` for
-/// every output, thresholds the [`odq_estimate_precomputed`] estimate into
-/// the mask, and keeps the estimate for insensitive outputs. The executor
-/// walks the outputs channel by channel and computes each sensitive one as
-/// a single `i16·i16 → i32` dot product of the pixel's code row against the
-/// filter's code row in `plan.qw`, corrected by `Σ a`, which is summed once
-/// per pixel. Executor work is therefore proportional to the sensitive
-/// fraction.
+/// Each image is lowered once into padded pixel-major code rows (see
+/// [`odq_tensor::workspace`]). The predictor computes `HH = Σ a_H·n_H` for
+/// every output on the [`Kernel`] tiles, shifting the activations' high
+/// bit plane out of the full codes in-register against the plan's padded
+/// high weight rows; the same rows give `Σ a_H` and `Σ a` per pixel. It
+/// thresholds the [`odq_estimate_precomputed`] estimate into the mask and
+/// keeps the estimate for insensitive outputs. The executor walks the
+/// outputs channel by channel and computes each sensitive one as a single
+/// per-pair [`Kernel::dot`] of the pixel's code row against the filter's
+/// row in `plan.rows`, corrected by `Σ a`. Executor work is therefore
+/// proportional to the sensitive fraction. Every per-image buffer lives in
+/// the pool's workspaces.
 ///
 /// All accumulation is exact `i32` and the f32 expressions are those of
 /// the scalar oracle, so outputs and masks are bit-identical to it.
@@ -123,19 +125,33 @@ pub fn odq_conv2d_planned(
     cfg: &OdqCfg,
     pool: &WorkspacePool,
 ) -> OdqConvOutput {
-    let wp = plan.planes.as_ref().expect("plan lacks ODQ bit planes");
-    assert_eq!(wp.low_bits, cfg.low_bits, "plan low_bits mismatch");
+    odq_conv2d_planned_on(qx, plan, bias, g, cfg, pool, Kernel::detected())
+}
+
+/// [`odq_conv2d_planned`] on a given kernel body, so tests and the
+/// conformance runner can run every body the CPU supports.
+pub fn odq_conv2d_planned_on(
+    qx: &QTensor,
+    plan: &QConvPlan,
+    bias: Option<&[f32]>,
+    g: &ConvGeom,
+    cfg: &OdqCfg,
+    pool: &WorkspacePool,
+    kernel: Kernel,
+) -> OdqConvOutput {
+    let high_rows = plan.high_rows.as_ref().expect("plan lacks ODQ bit planes").view();
+    assert_eq!(plan.spec.low_bits, Some(cfg.low_bits), "plan low_bits mismatch");
     assert_eq!(plan.spec.w_bits, cfg.w_bits, "plan w_bits mismatch");
     let qw = &plan.qw;
+    let w_rows = plan.rows.view();
     let scale = qx.scale * qw.scale;
+    let shr = cfg.low_bits as u32;
 
     let n = qx.codes.dims()[0];
     let spatial = g.out_spatial();
     let co = g.out_channels;
-    let col_len = g.col_len();
     let per_img = co * spatial;
     let valid = plan.valid_taps(g);
-    let (w_codes, w_high) = (qw.codes.as_slice(), wp.high.as_slice());
 
     let mut out = vec![0.0f32; n * per_img];
     let mut bits = vec![false; n * per_img];
@@ -143,22 +159,17 @@ pub fn odq_conv2d_planned(
     let images = out.par_chunks_mut(chunk).zip(bits.par_chunks_mut(chunk)).enumerate();
     images.for_each(|(img, (out, bits))| {
         pool.with(|wk| {
-            let (rows, rows_h) = wk.lower_i16_planes(qx.codes.outer(img), g, cfg.low_bits);
+            let (rows, s) = wk.lower_i16_rows(qx.codes.outer(img), g);
             // Predictor: `HH` for every output, `Σ a_H` and `Σ a` per pixel.
-            let mut hh = vec![0i32; per_img];
-            for (w_f, hh_f) in w_high.chunks_exact(col_len).zip(hh.chunks_exact_mut(spatial)) {
-                for (v, r) in hh_f.iter_mut().zip(rows_h.chunks_exact(col_len)) {
-                    *v = dot_i16(r, w_f);
-                }
-            }
-            let row_sums = |rows: &[i16]| -> Vec<i32> {
-                rows.chunks_exact(col_len).map(|r| r.iter().map(|&a| a as i32).sum()).collect()
-            };
-            let sa_h = row_sums(rows_h);
-            let sa = row_sums(rows);
-            let est = odq_estimate_precomputed(
-                &Tensor::from_vec(g.output_shape(1), hh),
-                &Tensor::from_vec([1, g.out_h(), g.out_w()], sa_h),
+            s.products.resize(per_img, 0);
+            s.sums.resize(spatial, 0);
+            s.high_sums.resize(spatial, 0);
+            s.values.resize(per_img, 0.0);
+            kernel.products(rows, high_rows, shr, &mut s.products);
+            kernel.row_sums(rows, shr, &mut s.sums, Some(&mut s.high_sums));
+            odq_estimate_precomputed(
+                &s.products,
+                &s.high_sums,
                 &plan.sum_nh,
                 &plan.sum_nl,
                 &valid,
@@ -166,19 +177,21 @@ pub fn odq_conv2d_planned(
                 qw.zero,
                 scale,
                 g,
+                &mut s.pixel_terms,
+                &mut s.values,
             );
 
             // Executor: sensitive outputs only, one filter row at a time.
-            let filters = w_codes.chunks_exact(col_len).zip(est.as_slice().chunks_exact(spatial));
+            let filters = s.values.chunks_exact(spatial).enumerate();
             let channels = out.chunks_exact_mut(spatial).zip(bits.chunks_exact_mut(spatial));
-            for ((w_f, est_f), (out_f, bits_f)) in filters.zip(channels) {
-                let pixels = rows.chunks_exact(col_len).zip(&sa);
-                for (((o, bit), &p_hat), (r, &sa)) in
-                    out_f.iter_mut().zip(bits_f).zip(est_f).zip(pixels)
+            for ((f, est_f), (out_f, bits_f)) in filters.zip(channels) {
+                let w_f = w_rows.row(f);
+                for (p, (((o, bit), &p_hat), &sa)) in
+                    out_f.iter_mut().zip(bits_f).zip(est_f).zip(&s.sums).enumerate()
                 {
                     *bit = p_hat.abs() >= cfg.threshold;
                     *o = if *bit {
-                        scale * (dot_i16(r, w_f) as f32 - qw.zero * sa as f32)
+                        scale * (kernel.dot(rows.row(p), w_f) as f32 - qw.zero * sa as f32)
                     } else {
                         p_hat
                     };

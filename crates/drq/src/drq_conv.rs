@@ -3,9 +3,10 @@
 use odq_nn::executor::add_bias;
 use odq_quant::plan::{PlanSpec, QConvPlan};
 use odq_quant::qconv::{
-    needs_i64, qconv2d, qconv2d_products, requant_step, requantize_codes, CodeAcc,
+    needs_i64, qconv2d, qconv2d_products, requant_step, requantize_code, requantize_codes, CodeAcc,
 };
 use odq_quant::{quantize_activation, QTensor};
+use odq_tensor::gemm::Kernel;
 use odq_tensor::workspace::WorkspacePool;
 use odq_tensor::{ConvGeom, Tensor};
 
@@ -122,7 +123,7 @@ pub fn drq_conv2d(
     let qx = quantize_activation(x, cfg.hi_bits, cfg.a_clip);
     let coarse = |codes: Tensor<i16>, like: &QTensor| QTensor { codes, ..*like };
     let qx_lo = coarse(requantize_codes(&qx.codes, cfg.step()), &qx);
-    let qw_lo = coarse(plan.w_lo.clone().expect("DRQ plan has low-precision weights"), &plan.qw);
+    let qw_lo = coarse(requantize_codes(&plan.qw.codes, cfg.step()), &plan.qw);
     let mut reference_hp = qconv2d(&qx, &plan.qw, g);
     let mut reference_lp = qconv2d(&qx_lo, &qw_lo, g);
     if let Some(b) = bias {
@@ -161,7 +162,8 @@ pub struct DrqPlanned {
 /// elsewhere) and vice versa. The coarse grid embeds exactly into the fine
 /// one (same scale and zero point), so the mixed sum needs no rescaling.
 /// Each precision path lowers each image once and computes its products
-/// and receptive sums from that lowering.
+/// and receptive sums from that lowering, on the [`Kernel`] tiles against
+/// the plan's padded fine and coarse weight rows.
 ///
 /// # Panics
 /// Panics if the plan lacks requantized low-precision weights or its bit
@@ -173,6 +175,20 @@ pub fn drq_conv2d_planned(
     g: &ConvGeom,
     cfg: &DrqCfg,
     pool: &WorkspacePool,
+) -> DrqPlanned {
+    drq_conv2d_planned_on(x, plan, bias, g, cfg, pool, Kernel::detected())
+}
+
+/// [`drq_conv2d_planned`] on a given kernel body, so tests and the
+/// conformance runner can run every body the CPU supports.
+pub fn drq_conv2d_planned_on(
+    x: &Tensor,
+    plan: &QConvPlan,
+    bias: Option<&[f32]>,
+    g: &ConvGeom,
+    cfg: &DrqCfg,
+    pool: &WorkspacePool,
+    kernel: Kernel,
 ) -> DrqPlanned {
     assert_eq!(plan.spec.w_bits, cfg.hi_bits, "plan bit width mismatch");
     let qx = quantize_activation(x, cfg.hi_bits, cfg.a_clip);
@@ -187,7 +203,7 @@ pub fn drq_conv2d_planned(
         if m {
             x_hi[i] = c;
         } else {
-            x_lo[i] = ((c as f32 / step as f32).round() as i16) * step;
+            x_lo[i] = requantize_code(c, step);
         }
     }
     let x_hi = Tensor::from_vec(qx.codes.shape().clone(), x_hi);
@@ -195,9 +211,9 @@ pub fn drq_conv2d_planned(
 
     let scale = qx.scale * plan.qw.scale;
     let mut out = if needs_i64(cfg.hi_bits, cfg.hi_bits) {
-        mix_paths::<i64>(&x_hi, &x_lo, plan, scale, g, pool)
+        mix_paths::<i64>(&x_hi, &x_lo, plan, scale, g, pool, kernel)
     } else {
-        mix_paths::<i32>(&x_hi, &x_lo, plan, scale, g, pool)
+        mix_paths::<i32>(&x_hi, &x_lo, plan, scale, g, pool, kernel)
     };
     if let Some(b) = bias {
         add_bias(&mut out, b, g);
@@ -214,10 +230,11 @@ fn mix_paths<T: CodeAcc>(
     scale: f32,
     g: &ConvGeom,
     pool: &WorkspacePool,
+    kernel: Kernel,
 ) -> Tensor {
-    let w_lo = plan.w_lo.as_ref().expect("plan lacks DRQ low-precision weights");
-    let (y_hi, sa_hi) = qconv2d_products::<T>(x_hi, plan.qw.codes.as_slice(), g, pool);
-    let (y_lo, sa_lo) = qconv2d_products::<T>(x_lo, w_lo.as_slice(), g, pool);
+    let w_lo = plan.lo_rows.as_ref().expect("plan lacks DRQ low-precision weights");
+    let (y_hi, sa_hi) = qconv2d_products::<T>(x_hi, plan.rows.view(), g, pool, kernel);
+    let (y_lo, sa_lo) = qconv2d_products::<T>(x_lo, w_lo.view(), g, pool, kernel);
     let (spatial, co, zw) = (g.out_spatial(), g.out_channels, plan.qw.zero);
     let mut out = Tensor::zeros(y_hi.shape().clone());
     let (sh, sl) = (sa_hi.as_slice(), sa_lo.as_slice());

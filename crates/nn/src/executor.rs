@@ -116,7 +116,7 @@ impl ConvExecutor for StaticQuantExecutor {
         // signed coding keeps codes within i16. `PlanSpec::static_quant`
         // encodes the same cutover.
         let plan = self.plans.plan_for(ctx.name, ctx.weights, PlanSpec::static_quant(self.w_bits));
-        let mut y = odq_quant::qconv::qconv2d_with(&qx, &plan.qw, &ctx.geom, self.plans.pool());
+        let mut y = odq_quant::qconv::qconv2d_planned(&qx, &plan, &ctx.geom, self.plans.pool());
         if let Some(b) = ctx.bias {
             add_bias(&mut y, b, &ctx.geom);
         }

@@ -32,11 +32,39 @@ pub fn quantize_activation(x: &Tensor, bits: u8, clip: f32) -> QTensor {
     // as 1/scale loses a ulp and mis-rounds exact half-steps (e.g. 0.5 at
     // 4 bits must code to 8, not 7).
     let inv = max_code / clip;
-    let codes = x.map(|v| {
-        let clamped = v.clamp(0.0, clip);
-        (clamped * inv).round() as i16
-    });
-    QTensor { codes, scale, zero: 0.0, scheme }
+    // A plain slice loop over `round_code`, so it vectorizes: `f32::round`
+    // is a libm call per element on the baseline x86-64 target. `f32::max`
+    // returns 0 for NaN, which then codes to 0 as `round() as i16` did.
+    let mut codes = vec![0i16; x.numel()];
+    for (c, &v) in codes.iter_mut().zip(x.as_slice()) {
+        *c = round_code(v.max(0.0).min(clip) * inv) as i16;
+    }
+    QTensor { codes: Tensor::from_vec(x.shape().clone(), codes), scale, zero: 0.0, scheme }
+}
+
+/// `y.round() as i32` for `y` in `[0, 2^22]`, without a libm call: find
+/// `floor(y)`, then add 1 when the dropped fraction is at least one half,
+/// so ties round up, away from zero, as `f32::round` does.
+///
+/// Exact on that domain in every step. Adding and subtracting `2^23`
+/// rounds `y` to a nearest integer `r` (every `f32` in `[2^23, 2^24)` is
+/// an integer), and `floor(y)` is `r` or `r − 1`. `y − floor(y)` is exact
+/// in `f32`, so the comparison sees the true fraction. The code then reads
+/// out of the mantissa of `code + 2^23`. The more obvious
+/// `y as i32 + ((y − (y as i32) as f32) >= 0.5) as i32` gives the same
+/// codes, but Rust's saturating `as` conversion compiles to a scalar
+/// conversion with NaN and overflow checks per element; this form is plain
+/// float arithmetic, so a loop over it vectorizes on the baseline target.
+///
+/// `y` must not be NaN: the quantizer's `max(0)` maps NaN to 0 first, as
+/// `round() as i16` does. `−0.0` gives 0.
+#[inline]
+pub(crate) fn round_code(y: f32) -> i32 {
+    const TWO_23: f32 = 8_388_608.0;
+    let nearest = (y + TWO_23) - TWO_23;
+    let floor = nearest - (nearest > y) as i32 as f32;
+    let code = floor + (y - floor >= 0.5) as i32 as f32;
+    (code + TWO_23).to_bits() as i32 - TWO_23.to_bits() as i32
 }
 
 /// Quantize weights to DoReFa-style offset-binary codes (the default
@@ -104,6 +132,45 @@ mod tests {
         assert_eq!(q.codes.as_slice(), &[0, 0, 8, 15, 15]); // clamp + round
         assert!((q.scale - 1.0 / 15.0).abs() < 1e-7);
         assert_eq!(q.zero, 0.0);
+    }
+
+    /// The quantizer's branch-free rounding agrees with the `f32::round`
+    /// expression it replaces at 4 and 8 bits: on every half step and one
+    /// ulp either side of it, on a dense sample of the clip range and
+    /// beyond it, and on NaN, ±0 and ±∞.
+    #[test]
+    fn rounding_matches_f32_round() {
+        let clip = 1.0f32;
+        for bits in [4u8, 8] {
+            let max_code = ((1u32 << bits) - 1) as f32;
+            let inv = max_code / clip;
+            let want = |v: f32| (v.clamp(0.0, clip) * inv).round() as i16;
+            let mut xs = vec![f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, clip];
+            for k in 0..(1u32 << bits) {
+                let half = (k as f32 + 0.5) / inv;
+                let below = f32::from_bits(half.to_bits() - 1);
+                let above = f32::from_bits(half.to_bits() + 1);
+                xs.extend([half, below, above]);
+            }
+            let mut state = 0x9E37_79B9u32 ^ bits as u32;
+            for _ in 0..200_000 {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                xs.push((state >> 8) as f32 / (1u32 << 24) as f32 * 1.5 * clip - 0.25 * clip);
+            }
+            let q = quantize_activation(&Tensor::from_vec([xs.len()], xs.clone()), bits, clip);
+            for (&v, &c) in xs.iter().zip(q.codes.as_slice()) {
+                assert_eq!(c, want(v), "bits {bits} input {v:e} ({:#010x})", v.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn round_code_matches_round_across_its_domain() {
+        for y in
+            [0.0f32, -0.0, 0.5, 1.5, 2.5, 0.49999997, 7.4999995, 32_767.0, 4_194_303.5, 4_194_304.0]
+        {
+            assert_eq!(round_code(y), y.round() as i32, "{y:e}");
+        }
     }
 
     #[test]

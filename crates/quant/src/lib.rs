@@ -14,13 +14,15 @@
 //!   in the paper's Eq. 3). The identity `code = (high << low_bits) + low`
 //!   holds exactly, with `high` carrying the sign.
 //! * [`qconv`] — integer convolution over quantized tensors (pixel-major
-//!   lowering + one exact `i16`×`i16`→`i32/i64` dot product per output)
-//!   with offset-binary affine corrections. Applied to bit planes, the same code convolution gives
+//!   lowering into padded code rows + exact `i16`×`i16`→`i32` products on
+//!   odq-tensor's integer kernel, `i64` per pair for wide schemes) with
+//!   offset-binary affine corrections. Applied to bit planes, the same code convolution gives
 //!   the partial products of Eq. 3.
 //! * [`plan`] — per-layer convolution plans ([`plan::QConvPlan`]):
-//!   quantized weights, their bit planes and the predictor's per-filter
-//!   constants prepacked once per weight version and cached in a
-//!   [`plan::PlanCache`] keyed by a full-content fingerprint.
+//!   quantized weights, every weight matrix a kernel reads as padded rows,
+//!   and the predictor's per-filter constants, prepacked once per weight
+//!   version and cached in a [`plan::PlanCache`] keyed by a full-content
+//!   fingerprint.
 
 //! # Example
 //!

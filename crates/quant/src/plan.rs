@@ -8,11 +8,14 @@
 //! weights alone:
 //!
 //! * the quantized weights (`qw`),
-//! * their Eq. 3 bit planes (ODQ),
+//! * every weight matrix a kernel reads, as padded code rows at the stride
+//!   the lowered activations use ([`PaddedRows`]): `qw`'s codes, the Eq. 3
+//!   high bit plane (ODQ) and the requantized low-precision codes (DRQ),
 //! * the per-filter code sums `Σ n_H`, `Σ n_L` the predictor's expectation
 //!   corrections consume,
-//! * the requantized low-precision weights (DRQ),
 //! * a lazily-built cache of per-geometry valid-tap counts.
+//!
+//! The padded matrices are built with the plan and retire with it.
 //!
 //! [`PlanCache`] maps layer names to plans, invalidating on a full-content
 //! weight fingerprint, and owns the [`WorkspacePool`] the planned drivers
@@ -21,10 +24,11 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use odq_tensor::gemm::PaddedRows;
 use odq_tensor::workspace::WorkspacePool;
 use odq_tensor::{ConvGeom, Tensor};
 
-use crate::bitsplit::{split_qtensor, BitPlanes};
+use crate::bitsplit::split_qtensor;
 use crate::dorefa::{quantize_weights, quantize_weights_symmetric};
 use crate::qconv::{filter_code_sums, requant_step, requantize_codes, valid_tap_counts};
 use crate::qtensor::QTensor;
@@ -72,14 +76,19 @@ pub struct QConvPlan {
     pub spec: PlanSpec,
     /// Quantized weights.
     pub qw: QTensor,
-    /// Eq. 3 weight bit planes (ODQ specs only).
-    pub planes: Option<BitPlanes>,
+    /// `qw`'s filter rows, padded: what static INT-k, DRQ's high-precision
+    /// path and the ODQ executor read.
+    pub rows: PaddedRows,
+    /// The Eq. 3 high bit plane of `qw`'s filter rows, padded: what the
+    /// ODQ predictor reads (ODQ specs only).
+    pub high_rows: Option<PaddedRows>,
     /// Per-filter `Σ n_H` (ODQ specs only, empty otherwise).
     pub sum_nh: Vec<i32>,
     /// Per-filter `Σ n_L` (ODQ specs only, empty otherwise).
     pub sum_nl: Vec<i32>,
-    /// Weights requantized onto the low-precision grid (DRQ specs only).
-    pub w_lo: Option<Tensor<i16>>,
+    /// `qw`'s filter rows requantized onto the low-precision grid, padded
+    /// (DRQ specs only).
+    pub lo_rows: Option<PaddedRows>,
     /// Per-geometry valid-tap counts, built on first use. Engines run a
     /// layer under one geometry, so a single slot suffices.
     valid: Mutex<Option<(ConvGeom, Arc<Vec<u32>>)>>,
@@ -94,19 +103,24 @@ impl QConvPlan {
         } else {
             quantize_weights(weights, spec.w_bits)
         };
-        let out_channels = weights.dims()[0];
-        let (planes, sum_nh, sum_nl) = match spec.low_bits {
+        let (out_channels, in_channels, kernel) =
+            (weights.dims()[0], weights.dims()[1], weights.dims()[2]);
+        let padded =
+            |codes: &Tensor<i16>| PaddedRows::from_filters(codes.as_slice(), in_channels, kernel);
+        let (high_rows, sum_nh, sum_nl) = match spec.low_bits {
             Some(d) => {
                 let p = split_qtensor(&qw, d);
                 let nh = filter_code_sums(&p.high, out_channels);
                 let nl = filter_code_sums(&p.low, out_channels);
-                (Some(p), nh, nl)
+                (Some(padded(&p.high)), nh, nl)
             }
             None => (None, Vec::new(), Vec::new()),
         };
-        let w_lo =
-            spec.lo_bits.map(|lo| requantize_codes(&qw.codes, requant_step(spec.w_bits, lo)));
-        Self { spec, qw, planes, sum_nh, sum_nl, w_lo, valid: Mutex::new(None) }
+        let lo_rows = spec
+            .lo_bits
+            .map(|lo| padded(&requantize_codes(&qw.codes, requant_step(spec.w_bits, lo))));
+        let rows = padded(&qw.codes);
+        Self { spec, qw, rows, high_rows, sum_nh, sum_nl, lo_rows, valid: Mutex::new(None) }
     }
 
     /// Valid-tap counts for `g`, computed once per geometry and shared.
@@ -123,18 +137,35 @@ impl QConvPlan {
     }
 }
 
-/// Full-content weight fingerprint: FNV-1a over the bit patterns of every
-/// element, seeded with the element count. Any single-element perturbation
-/// anywhere in the tensor changes the digest (each byte folds through the
-/// avalanching multiply), so stale plans cannot survive a weight update —
-/// the regression the old sampled hash allowed.
+/// Full-content weight fingerprint: eight independent FNV-1a lanes over
+/// the bit patterns of every element (element `i` folds into lane `i % 8`),
+/// each seeded with the element count and its lane number, folded together
+/// by one more FNV-1a chain.
+///
+/// Any single-element perturbation anywhere in the tensor changes the
+/// digest: each FNV-1a step (xor, then multiply by an odd prime) is a
+/// bijection of the lane state, so a changed element changes its lane's
+/// final state, and the fold is a bijection in each lane too. Stale plans
+/// therefore cannot survive a weight update — the regression the old
+/// sampled hash allowed. The lanes are independent multiply chains, so
+/// they run in parallel where one serial chain waited on every multiply;
+/// `PlanCache::plan_for` hashes each conv's weights on every forward.
 pub fn weight_fingerprint(w: &Tensor) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (w.numel() as u64);
-    for &v in w.as_slice() {
-        h = (h ^ v.to_bits() as u64).wrapping_mul(PRIME);
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    let seed = BASIS ^ (w.numel() as u64);
+    let mut lanes: [u64; 8] = std::array::from_fn(|i| seed ^ i as u64);
+    let chunks = w.as_slice().chunks_exact(8);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (h, &v) in lanes.iter_mut().zip(chunk) {
+            *h = (*h ^ v.to_bits() as u64).wrapping_mul(PRIME);
+        }
     }
-    h
+    for (h, &v) in lanes.iter_mut().zip(tail) {
+        *h = (*h ^ v.to_bits() as u64).wrapping_mul(PRIME);
+    }
+    lanes.iter().fold(seed, |h, &lane| (h ^ lane).wrapping_mul(PRIME))
 }
 
 struct PlanEntry {
@@ -235,16 +266,23 @@ mod tests {
         Tensor::from_vec([2, 3, 3, 3], v)
     }
 
+    /// Padded rows of `codes` (3 × 3 × 3 filters → stride 32).
+    fn padded(codes: &Tensor<i16>) -> PaddedRows {
+        PaddedRows::from_filters(codes.as_slice(), 3, 3)
+    }
+
     #[test]
-    fn odq_plan_prepacks_planes_and_filter_sums() {
+    fn odq_plan_prepacks_padded_planes_and_filter_sums() {
         let w = weights();
         let plan = QConvPlan::build(&w, PlanSpec::odq(4, 2));
-        let p = plan.planes.as_ref().expect("odq plan has planes");
         let qw = quantize_weights(&w, 4);
-        assert_eq!(p.high.as_slice(), split_qtensor(&qw, 2).high.as_slice());
+        let p = split_qtensor(&qw, 2);
+        assert_eq!(plan.rows, padded(&qw.codes));
+        assert_eq!(plan.high_rows.as_ref(), Some(&padded(&p.high)));
+        assert_eq!(plan.rows.view().stride(), 32);
         assert_eq!(plan.sum_nh, filter_code_sums(&p.high, 2));
         assert_eq!(plan.sum_nl, filter_code_sums(&p.low, 2));
-        assert!(plan.w_lo.is_none());
+        assert!(plan.lo_rows.is_none());
     }
 
     #[test]
@@ -253,8 +291,9 @@ mod tests {
         let plan = QConvPlan::build(&w, PlanSpec::drq(8, 4));
         let qw = quantize_weights(&w, 8);
         let expect = requantize_codes(&qw.codes, requant_step(8, 4));
-        assert_eq!(plan.w_lo.as_ref().unwrap().as_slice(), expect.as_slice());
-        assert!(plan.planes.is_none());
+        assert_eq!(plan.lo_rows.as_ref(), Some(&padded(&expect)));
+        assert_eq!(plan.rows, padded(&qw.codes));
+        assert!(plan.high_rows.is_none());
     }
 
     #[test]

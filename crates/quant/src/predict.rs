@@ -65,9 +65,10 @@ pub fn odq_predict(
     let valid = valid_tap_counts(g);
     let sum_nh = filter_code_sums(&w_planes.high, g.out_channels);
     let sum_nl = filter_code_sums(&w_planes.low, g.out_channels);
-    let estimate = odq_estimate_precomputed(
-        &hh,
-        &sa_h,
+    let mut estimate = Tensor::zeros(hh.shape().clone());
+    odq_estimate_precomputed(
+        hh.as_slice(),
+        sa_h.as_slice(),
         &sum_nh,
         &sum_nl,
         &valid,
@@ -75,6 +76,8 @@ pub fn odq_predict(
         w_zero,
         scale,
         g,
+        &mut Vec::new(),
+        estimate.as_mut_slice(),
     );
     OdqPrediction { hh, sa_h, estimate }
 }
@@ -84,10 +87,20 @@ pub fn odq_predict(
 /// the per-filter code sums / valid-tap counts prepacked in a layer plan.
 /// This is the pure arithmetic core of [`odq_predict`], shared with the
 /// planned ODQ kernel, so both produce bit-identical estimates.
+///
+/// `hh` and `est` are `[N, Co, OH, OW]`, `sa_h` is `[N, OH, OW]`. The
+/// estimate is written into `est`, and `pixel_terms` is scratch for the
+/// per-pixel terms (`pow·mean(a_H)`, the in-bounds fraction and the
+/// zero-point correction), hoisted out of the per-output loop with the
+/// oracle's f32 operation order kept, so a caller that keeps both buffers
+/// estimates without allocating.
+///
+/// # Panics
+/// Panics if a slice length does not match `g` and the batch `hh` implies.
 #[allow(clippy::too_many_arguments)]
 pub fn odq_estimate_precomputed(
-    hh: &Tensor<i32>,
-    sa_h: &Tensor<i32>,
+    hh: &[i32],
+    sa_h: &[i32],
     sum_nh: &[i32],
     sum_nl: &[i32],
     valid: &[u32],
@@ -95,44 +108,53 @@ pub fn odq_estimate_precomputed(
     w_zero: f32,
     scale: f32,
     g: &ConvGeom,
-) -> Tensor {
+    pixel_terms: &mut Vec<f32>,
+    est: &mut [f32],
+) {
     let pow = (1u32 << low_bits as u32) as f32;
     let mean_low = (pow - 1.0) / 2.0;
     let k = g.col_len() as f32;
 
     let co = g.out_channels;
     let spatial = g.out_spatial();
-    let n = hh.numel() / (co * spatial);
-    let mut est = Tensor::zeros(g.output_shape(n));
-    {
-        let e = est.as_mut_slice();
-        let hhs = hh.as_slice();
-        let sahs = sa_h.as_slice();
-        for img in 0..n {
-            for f in 0..co {
-                let snh = sum_nh[f] as f32;
-                let snl = sum_nl[f] as f32;
-                let base = (img * co + f) * spatial;
-                for sp in 0..spatial {
-                    let v = valid[sp] as f32;
-                    let sah = sahs[img * spatial + sp] as f32;
-                    let hh_v = hhs[base + sp] as f32;
-                    let mean_ah = if v > 0.0 { sah / v } else { 0.0 };
-                    let frac = v / k;
-                    // Each of the K weights pairs with a tap that is only
-                    // `valid/K` likely to be in bounds at this output, so
-                    // every expectation term carries `frac`.
-                    let code_est = pow * pow * hh_v
-                        + pow * mean_ah * snl * frac
-                        + pow * mean_low * snh * frac
-                        + mean_low * snl * frac
-                        - w_zero * (pow * sah + mean_low * v);
-                    e[base + sp] = scale * code_est;
-                }
+    let per_img = co * spatial;
+    let n = hh.len() / per_img.max(1);
+    assert_eq!(hh.len(), n * per_img, "hh length mismatch");
+    assert_eq!(est.len(), hh.len(), "estimate length mismatch");
+    assert_eq!(sa_h.len(), n * spatial, "sa_h length mismatch");
+    assert_eq!(valid.len(), spatial, "valid-tap count length mismatch");
+    assert!(sum_nh.len() == co && sum_nl.len() == co, "filter sum length mismatch");
+
+    pixel_terms.resize(3 * spatial, 0.0);
+    let (pow_mean_ah, rest) = pixel_terms.split_at_mut(spatial);
+    let (frac, zero_corr) = rest.split_at_mut(spatial);
+    let images = hh.chunks_exact(per_img.max(1)).zip(est.chunks_exact_mut(per_img.max(1)));
+    for ((hh, est), sahs) in images.zip(sa_h.chunks_exact(spatial)) {
+        for sp in 0..spatial {
+            let v = valid[sp] as f32;
+            let sah = sahs[sp] as f32;
+            let mean_ah = if v > 0.0 { sah / v } else { 0.0 };
+            pow_mean_ah[sp] = pow * mean_ah;
+            frac[sp] = v / k;
+            zero_corr[sp] = w_zero * (pow * sah + mean_low * v);
+        }
+        let filters = hh.chunks_exact(spatial).zip(est.chunks_exact_mut(spatial));
+        for ((hh_f, est_f), (&snh, &snl)) in filters.zip(sum_nh.iter().zip(sum_nl)) {
+            let (snh, snl) = (snh as f32, snl as f32);
+            let (high_low, low_low) = (pow * mean_low * snh, mean_low * snl);
+            let pixels = pow_mean_ah.iter().zip(&*frac).zip(&*zero_corr);
+            for ((e, &hh_v), ((&pm, &frac), &z)) in est_f.iter_mut().zip(hh_f).zip(pixels) {
+                // Each of the K weights pairs with a tap that is only
+                // `valid/K` likely to be in bounds at this output, so every
+                // expectation term carries `frac`. Same operation order as
+                // the un-hoisted expression, term by term.
+                let code_est =
+                    pow * pow * hh_v as f32 + pm * snl * frac + high_low * frac + low_low * frac
+                        - z;
+                *e = scale * code_est;
             }
         }
     }
-    est
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! Integer convolution over quantized tensors.
 //!
 //! This is the arithmetic every accelerator path in the paper reduces to:
-//! each image is lowered once, pixel-major (one contiguous `col_len` row of
-//! activation codes per output pixel), and every output is one exact
-//! integer dot product of a pixel's row against a filter's row — `i32`
-//! accumulation for narrow schemes, `i64` beyond — plus the affine
-//! correction terms required by offset-binary weight coding. The ODQ
-//! kernel runs on the same lowering and the same dot product.
+//! each image is lowered once, pixel-major (one padded code row per output
+//! pixel, see [`odq_tensor::workspace`]), and every output is one exact
+//! integer product of a pixel's row against a filter's row — `i32`
+//! accumulation on the [`Kernel`] tiles for narrow schemes, per-pair
+//! [`dot_i16_i64`] beyond — plus the affine correction terms required by
+//! offset-binary weight coding. The ODQ kernel runs on the same lowering
+//! and the same kernel.
 //!
 //! With activations `value_a = s_a · a` (zero point 0) and weights
 //! `value_w = s_w · (n − z_w)`, a convolution output is
@@ -20,31 +21,40 @@
 //! hardware a single extra accumulator fed by the same operand stream.
 //! [`qconv2d_products`] computes both from one lowering per image.
 
-use odq_tensor::gemm::{dot_i16, dot_i16_i64};
+use odq_tensor::gemm::{dot_i16_i64, Kernel, PaddedRows, Rows};
 use odq_tensor::workspace::WorkspacePool;
 use odq_tensor::{ConvGeom, Tensor};
 use rayon::prelude::*;
 
+use crate::dorefa::round_code;
+use crate::plan::QConvPlan;
 use crate::qtensor::QTensor;
 
-/// An exact accumulator for code dot products: `i32` while
+/// An exact accumulator for code products: `i32` while
 /// `a_bits + w_bits ≤ 16` (see [`needs_i64`]), `i64` beyond.
-pub trait CodeAcc: Copy + Send + Into<i64> {
-    /// `Σ a·b` over two equal-length code rows.
-    fn dot(a: &[i16], b: &[i16]) -> Self;
+pub trait CodeAcc: Copy + Default + Send + Into<i64> {
+    /// `out[f · a.count() + p] = Σ a_p·w_f` for every pixel row `p` and
+    /// filter row `f`. `i32` runs on `kernel`; `i64` stays on per-pair
+    /// [`dot_i16_i64`], which no kernel body covers.
+    fn products(kernel: Kernel, a: Rows<'_>, w: Rows<'_>, out: &mut [Self]);
 }
 
 impl CodeAcc for i32 {
     #[inline]
-    fn dot(a: &[i16], b: &[i16]) -> i32 {
-        dot_i16(a, b)
+    fn products(kernel: Kernel, a: Rows<'_>, w: Rows<'_>, out: &mut [i32]) {
+        kernel.products(a, w, 0, out);
     }
 }
 
 impl CodeAcc for i64 {
-    #[inline]
-    fn dot(a: &[i16], b: &[i16]) -> i64 {
-        dot_i16_i64(a, b)
+    fn products(_: Kernel, a: Rows<'_>, w: Rows<'_>, out: &mut [i64]) {
+        assert_eq!(a.stride(), w.stride(), "activation and weight row strides differ");
+        let np = a.count();
+        for (f, o_f) in out.chunks_exact_mut(np.max(1)).enumerate() {
+            for (p, o) in o_f.iter_mut().enumerate() {
+                *o = dot_i16_i64(a.row(p), w.row(f));
+            }
+        }
     }
 }
 
@@ -56,45 +66,40 @@ pub fn needs_i64(a_bits: u8, w_bits: u8) -> bool {
 }
 
 /// The integer conv driver: batch-parallel over images, each lowered once
-/// through `pool`. Returns `Σ a·n` for every (image, filter, pixel),
-/// `[N, F, OH, OW]`, and `Σ a` for every (image, pixel), `[N, OH, OW]`.
+/// through `pool` into padded code rows. Returns `Σ a·n` for every
+/// (image, filter, pixel), `[N, F, OH, OW]`, and `Σ a` for every
+/// (image, pixel), `[N, OH, OW]`, both computed by `kernel` from the same
+/// rows and written straight into the returned tensors.
 ///
-/// `x`: activation codes `[N, Ci, H, W]`; `w`: the `F` filters' code rows
-/// (`[F, Ci, K, K]` flattened; empty for receptive sums only). Padded
-/// taps contribute 0 to both.
+/// `x`: activation codes `[N, Ci, H, W]`; `w`: the `F ≥ 1` filters' code
+/// rows at `g.col_len()`'s padded stride ([`receptive_sums`] computes the
+/// sums alone). Padded taps contribute 0 to both.
 ///
 /// # Panics
-/// Panics if `x` does not match `g` or `w` is not whole filter rows.
+/// Panics if `x` does not match `g`, or `w` is empty or not at `g`'s
+/// padded stride.
 pub fn qconv2d_products<T: CodeAcc>(
     x: &Tensor<i16>,
-    w: &[i16],
+    w: Rows<'_>,
     g: &ConvGeom,
     pool: &WorkspacePool,
+    kernel: Kernel,
 ) -> (Tensor<T>, Tensor<i32>) {
     let n = x.dims()[0];
     assert_eq!(x.dims(), g.input_shape(n).0.as_slice(), "input shape mismatch");
-    let (col_len, spatial) = (g.col_len(), g.out_spatial());
-    assert_eq!(w.len() % col_len, 0, "weight size not a whole number of filters");
-    let filters = w.len() / col_len;
-
-    let (p, sa): (Vec<Vec<T>>, Vec<Vec<i32>>) = (0..n)
-        .into_par_iter()
-        .map(|img| {
-            pool.with(|wk| {
-                let rows = wk.lower_i16_rows(x.outer(img), g);
-                let mut p = Vec::with_capacity(filters * spatial);
-                for w_f in w.chunks_exact(col_len) {
-                    p.extend(rows.chunks_exact(col_len).map(|r| T::dot(r, w_f)));
-                }
-                let sa = rows.chunks_exact(col_len).map(|r| r.iter().map(|&a| a as i32).sum());
-                (p, sa.collect())
-            })
+    assert!(w.count() > 0, "no filter rows");
+    let (spatial, filters) = (g.out_spatial(), w.count());
+    let mut p = Tensor::<T>::zeros([n, filters, g.out_h(), g.out_w()]);
+    let mut sa = Tensor::<i32>::zeros([n, g.out_h(), g.out_w()]);
+    let images = p.as_mut_slice().par_chunks_mut(filters * spatial);
+    images.zip(sa.as_mut_slice().par_chunks_mut(spatial)).enumerate().for_each(|(img, (p, sa))| {
+        pool.with(|wk| {
+            let (rows, _) = wk.lower_i16_rows(x.outer(img), g);
+            T::products(kernel, rows, w, p);
+            kernel.row_sums(rows, 0, sa, None);
         })
-        .unzip();
-    (
-        Tensor::from_vec([n, filters, g.out_h(), g.out_w()], p.concat()),
-        Tensor::from_vec([n, g.out_h(), g.out_w()], sa.concat()),
-    )
+    });
+    (p, sa)
 }
 
 /// Integer convolution returning raw `i32` accumulators (`Σ a·n`).
@@ -103,14 +108,23 @@ pub fn qconv2d_products<T: CodeAcc>(
 /// `[Co, Ci, K, K]`. Output `[N, Co, OH, OW]` of code-domain products.
 pub fn qconv2d_codes(x: &Tensor<i16>, w: &Tensor<i16>, g: &ConvGeom) -> Tensor<i32> {
     assert_eq!(w.dims(), g.weight_shape().0.as_slice(), "weight shape mismatch");
-    qconv2d_products(x, w.as_slice(), g, &WorkspacePool::new()).0
+    let w = PaddedRows::from_filters(w.as_slice(), g.in_channels, g.kernel);
+    qconv2d_products(x, w.view(), g, &WorkspacePool::new(), Kernel::detected()).0
 }
 
 /// Receptive sums: `Σ a` over each output position's receptive field,
 /// `[N, OH, OW]` (identical for every output channel, which all read the
 /// same window). Padded taps contribute 0.
 pub fn receptive_sums(x: &Tensor<i16>, g: &ConvGeom) -> Tensor<i32> {
-    qconv2d_products::<i32>(x, &[], g, &WorkspacePool::new()).1
+    let n = x.dims()[0];
+    assert_eq!(x.dims(), g.input_shape(n).0.as_slice(), "input shape mismatch");
+    let pool = WorkspacePool::new();
+    let kernel = Kernel::detected();
+    let mut sa = Tensor::<i32>::zeros([n, g.out_h(), g.out_w()]);
+    for (img, sa) in sa.as_mut_slice().chunks_exact_mut(g.out_spatial()).enumerate() {
+        pool.with(|wk| kernel.row_sums(wk.lower_i16_rows(x.outer(img), g).0, 0, sa, None));
+    }
+    sa
 }
 
 /// Number of in-bounds (non-padding) taps in each output position's
@@ -167,27 +181,66 @@ pub fn qconv2d(x: &QTensor, w: &QTensor, g: &ConvGeom) -> Tensor {
 }
 
 /// [`qconv2d`] lowering through a caller-owned pool: one lowering per
-/// image feeds both the products and the receptive sums. With `w` a
-/// plan's prepacked weights, this is static INT-k's planned entry point.
+/// image feeds both the products and the receptive sums. The weights are
+/// padded per call; [`qconv2d_planned`] reads a plan's prepacked rows.
 pub fn qconv2d_with(x: &QTensor, w: &QTensor, g: &ConvGeom, pool: &WorkspacePool) -> Tensor {
-    assert_eq!(x.zero, 0.0, "activation zero point must be 0 (zero padding)");
     assert_eq!(w.codes.dims(), g.weight_shape().0.as_slice(), "weight shape mismatch");
-    if needs_i64(x.scheme.bits, w.scheme.bits) {
-        dequantize_products::<i64>(x, w, g, pool)
-    } else {
-        dequantize_products::<i32>(x, w, g, pool)
-    }
+    let rows = PaddedRows::from_filters(w.codes.as_slice(), g.in_channels, g.kernel);
+    dequantize_products(x, w, rows.view(), g, pool, Kernel::detected())
 }
 
-/// `s · (Σ a·n − z_w · Σ a)` per output. With `z_w = 0` the correction is
-/// `+0.0`, which leaves every product's f32 value unchanged.
-fn dequantize_products<T: CodeAcc>(
+/// Static INT-k's planned entry point: [`qconv2d_with`] over the plan's
+/// quantized weights, read from its prepacked padded rows.
+pub fn qconv2d_planned(
     x: &QTensor,
-    w: &QTensor,
+    plan: &QConvPlan,
     g: &ConvGeom,
     pool: &WorkspacePool,
 ) -> Tensor {
-    let (p, sa) = qconv2d_products::<T>(&x.codes, w.codes.as_slice(), g, pool);
+    qconv2d_planned_on(x, plan, g, pool, Kernel::detected())
+}
+
+/// [`qconv2d_planned`] on a given kernel body, so tests and the
+/// conformance runner can run every body the CPU supports.
+pub fn qconv2d_planned_on(
+    x: &QTensor,
+    plan: &QConvPlan,
+    g: &ConvGeom,
+    pool: &WorkspacePool,
+    kernel: Kernel,
+) -> Tensor {
+    assert_eq!(plan.qw.codes.dims(), g.weight_shape().0.as_slice(), "weight shape mismatch");
+    dequantize_products(x, &plan.qw, plan.rows.view(), g, pool, kernel)
+}
+
+/// `s · (Σ a·n − z_w · Σ a)` per output, with `w_rows` holding `w`'s
+/// codes. With `z_w = 0` the correction is `+0.0`, which leaves every
+/// product's f32 value unchanged.
+fn dequantize_products(
+    x: &QTensor,
+    w: &QTensor,
+    w_rows: Rows<'_>,
+    g: &ConvGeom,
+    pool: &WorkspacePool,
+    kernel: Kernel,
+) -> Tensor {
+    assert_eq!(x.zero, 0.0, "activation zero point must be 0 (zero padding)");
+    if needs_i64(x.scheme.bits, w.scheme.bits) {
+        dequantize::<i64>(x, w, w_rows, g, pool, kernel)
+    } else {
+        dequantize::<i32>(x, w, w_rows, g, pool, kernel)
+    }
+}
+
+fn dequantize<T: CodeAcc>(
+    x: &QTensor,
+    w: &QTensor,
+    w_rows: Rows<'_>,
+    g: &ConvGeom,
+    pool: &WorkspacePool,
+    kernel: Kernel,
+) -> Tensor {
+    let (p, sa) = qconv2d_products::<T>(&x.codes, w_rows, g, pool, kernel);
     let (s, zw) = (x.scale * w.scale, w.zero);
     let spatial = g.out_spatial();
     let per_img = g.out_channels * spatial;
@@ -212,12 +265,20 @@ fn dequantize_products<T: CodeAcc>(
 ///
 /// This is DRQ's "low-precision" representation: the coarse levels embed
 /// exactly into the fine grid, so mixed-precision sums need no rescaling.
+///
+/// Codes must be non-negative (activation and offset-binary weight codes
+/// are): the rounding is the activation quantizer's libm-free one, exact
+/// for non-negative values.
 pub fn requantize_codes(codes: &Tensor<i16>, step: i16) -> Tensor<i16> {
     assert!(step > 0, "step must be positive");
-    codes.map(|c| {
-        let q = (c as f32 / step as f32).round() as i16;
-        q * step
-    })
+    codes.map(|c| requantize_code(c, step))
+}
+
+/// One code of [`requantize_codes`]: `round(c / step) · step`.
+#[inline]
+pub fn requantize_code(c: i16, step: i16) -> i16 {
+    debug_assert!(c >= 0, "requantized codes must be non-negative");
+    round_code(c as f32 / step as f32) as i16 * step
 }
 
 /// The requantization step between two bit widths
@@ -348,7 +409,9 @@ mod tests {
         let qw = quantize_weights(&w, 8);
         let pool = WorkspacePool::new();
         let narrow = qconv2d_codes(&qx.codes, &qw.codes, &g);
-        let (wide, _) = qconv2d_products::<i64>(&qx.codes, qw.codes.as_slice(), &g, &pool);
+        let rows = PaddedRows::from_filters(qw.codes.as_slice(), g.in_channels, g.kernel);
+        let (wide, _) =
+            qconv2d_products::<i64>(&qx.codes, rows.view(), &g, &pool, Kernel::detected());
         for (a, b) in narrow.as_slice().iter().zip(wide.as_slice()) {
             assert_eq!(*a as i64, *b);
         }

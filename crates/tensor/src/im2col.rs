@@ -65,67 +65,82 @@ pub fn im2col_into<T: Copy + Default>(input: &[T], g: &ConvGeom, col: &mut [T]) 
     }
 }
 
-/// Pixel-major lowering: the transpose of [`im2col`]'s layout.
+/// Elements a lowering copies per move; [`im2row_into`]'s buffers carry
+/// this much slack past their last row.
+pub const ROW_SLACK: usize = 16;
+
+/// Pixel-major lowering into padded rows, one row per output pixel.
 ///
-/// Writes a row-major `[out_spatial, col_len]` matrix into `rows`: row `p`
-/// holds output pixel `p`'s receptive field in the same tap order as
-/// column `p` of [`im2col`], so a per-output reduction is one contiguous
-/// dot product against a `[C, K, K]` filter. Padded taps are
-/// `T::default()`.
+/// Row `p` holds output pixel `p`'s receptive field in *(kernel row,
+/// kernel column, channel)* order, the window order of a channel-last
+/// image; [`crate::gemm::PaddedRows::from_filters`] lays filters out in
+/// the same order, so a per-output reduction is one contiguous dot
+/// product. Row `p` starts at `p · stride`, and its last
+/// `stride − col_len` elements are `T::default()`, as are padded taps.
+///
+/// `padded` is scratch for the zero-padded image, transposed channel-last
+/// so that each kernel row of a window is one contiguous run of
+/// `kernel · channels` elements; a caller that keeps it lowers without
+/// allocating. Runs are copied [`ROW_SLACK`] elements at a time, so a
+/// copy may run up to `ROW_SLACK − 1` elements past its row into the next
+/// one, which is written after it; `rows` therefore holds
+/// `stride · out_spatial + ROW_SLACK` elements, and the slack's contents
+/// are unspecified.
 ///
 /// # Panics
-/// Panics if `input` or `rows` have the wrong length.
-pub fn im2row_into<T: Copy + Default>(input: &[T], g: &ConvGeom, rows: &mut [T]) {
+/// Panics if `input` or `rows` have the wrong length or
+/// `stride < col_len`.
+pub fn im2row_into<T: Copy + Default>(
+    input: &[T],
+    g: &ConvGeom,
+    padded: &mut Vec<T>,
+    rows: &mut [T],
+    stride: usize,
+) {
     let (c, h, w, k, s, p) = (g.in_channels, g.in_h, g.in_w, g.kernel, g.stride, g.padding);
     let (oh, ow) = (g.out_h(), g.out_w());
     let col_len = g.col_len();
     assert_eq!(input.len(), c * h * w, "input length mismatch");
-    assert_eq!(rows.len(), col_len * oh * ow, "rows buffer length mismatch");
+    assert!(stride >= col_len, "row stride {stride} below col_len {col_len}");
+    assert_eq!(rows.len(), stride * oh * ow + ROW_SLACK, "rows buffer length mismatch");
 
-    // Zero-pad once so every tap read below is in bounds.
+    // Zero-pad and transpose to `[H + 2p, W + 2p, C]` once, so every run
+    // read below is in bounds; the slack covers the last move's over-read.
     let (hp, wp) = (h + 2 * p, w + 2 * p);
-    let mut padded = vec![T::default(); c * hp * wp];
+    padded.clear();
+    padded.resize(hp * wp * c + ROW_SLACK, T::default());
     for (ci, src) in input.chunks_exact(h * w).enumerate() {
         for (y, src_row) in src.chunks_exact(w).enumerate() {
-            let at = (ci * hp + y + p) * wp + p;
-            padded[at..at + w].copy_from_slice(src_row);
-        }
-    }
-    // One run of `k` taps per (pixel, channel, kernel row); fixed-size
-    // runs for the common kernels copy without a `memcpy` call per run.
-    for oy in 0..oh {
-        for ci in 0..c {
-            for ki in 0..k {
-                let src = &padded[(ci * hp + oy * s + ki) * wp..][..wp];
-                let dst = &mut rows[oy * ow * col_len + (ci * k + ki) * k..];
-                match k {
-                    1 => copy_runs::<T, 1>(src, dst, ow, s, col_len),
-                    3 => copy_runs::<T, 3>(src, dst, ow, s, col_len),
-                    5 => copy_runs::<T, 5>(src, dst, ow, s, col_len),
-                    _ => {
-                        for ox in 0..ow {
-                            dst[ox * col_len..][..k].copy_from_slice(&src[ox * s..][..k]);
-                        }
-                    }
-                }
+            let dst = padded[((y + p) * wp + p) * c + ci..].iter_mut().step_by(c);
+            for (d, &v) in dst.zip(src_row) {
+                *d = v;
             }
         }
     }
-}
-
-/// Copy `count` runs of `K` elements, read `stride` apart and written
-/// `pitch` apart.
-fn copy_runs<T: Copy, const K: usize>(
-    src: &[T],
-    dst: &mut [T],
-    count: usize,
-    stride: usize,
-    pitch: usize,
-) {
-    for i in 0..count {
-        let run: &[T; K] = src[i * stride..][..K].try_into().expect("run length is K");
-        let out: &mut [T; K] = (&mut dst[i * pitch..][..K]).try_into().expect("run length is K");
-        *out = *run;
+    // Per pixel, `k` runs of `k · c` taps, each copied in fixed-size moves.
+    // A move past the end of a run lands where the next run (or the next
+    // row) starts, which is written later; the tail's zeros go in last.
+    let run = k * c;
+    let tail = stride - col_len;
+    for oy in 0..oh {
+        for ox in 0..ow {
+            let at = (oy * ow + ox) * stride;
+            for ki in 0..k {
+                let src = &padded[((oy * s + ki) * wp + ox * s) * c..];
+                let dst = &mut rows[at + ki * run..];
+                for j in (0..run).step_by(ROW_SLACK) {
+                    let from: &[T; ROW_SLACK] = src[j..][..ROW_SLACK].try_into().expect("move");
+                    let to: &mut [T; ROW_SLACK] =
+                        (&mut dst[j..][..ROW_SLACK]).try_into().expect("move");
+                    *to = *from;
+                }
+            }
+            if tail >= ROW_SLACK {
+                rows[at + col_len..][..tail].fill(T::default());
+            } else if tail > 0 {
+                rows[at + col_len..][..ROW_SLACK].fill(T::default());
+            }
+        }
     }
 }
 
@@ -169,6 +184,7 @@ pub fn col2im(col: &[f32], g: &ConvGeom) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::PaddedRows;
 
     fn geom_3x3() -> ConvGeom {
         ConvGeom::new(1, 1, 3, 3, 2, 1, 0)
@@ -242,24 +258,38 @@ mod tests {
     }
 
     #[test]
-    fn im2row_is_the_transpose_of_im2col() {
+    fn im2row_rows_are_im2col_columns_in_filter_tap_order() {
         // Strides, padding wider than the kernel reach, 1x1 and non-square.
+        // Row p must be column p of im2col, reordered exactly as
+        // `PaddedRows::from_filters` reorders a filter, so filter rows and
+        // pixel rows line up tap for tap.
         for g in [
             ConvGeom::new(2, 1, 5, 4, 3, 2, 1),
             ConvGeom::new(3, 1, 4, 4, 3, 1, 1),
             ConvGeom::new(2, 1, 3, 5, 2, 3, 2),
             ConvGeom::new(1, 1, 2, 2, 1, 1, 1),
             ConvGeom::new(2, 1, 6, 6, 5, 1, 2),
+            ConvGeom::new(9, 1, 4, 3, 3, 1, 1),
         ] {
             let input: Vec<i16> =
                 (0..g.in_channels * g.in_h * g.in_w).map(|i| i as i16 + 1).collect();
             let col = im2col(&input, &g);
             let (len, spatial) = (g.col_len(), g.out_spatial());
-            let mut rows = vec![-1i16; len * spatial];
-            im2row_into(&input, &g, &mut rows);
-            for p in 0..spatial {
-                for t in 0..len {
-                    assert_eq!(rows[p * len + t], col[t * spatial + p], "{g:?} pixel {p} tap {t}");
+            let columns: Vec<i16> = (0..spatial)
+                .flat_map(|p| (0..len).map(move |t| (p, t)))
+                .map(|(p, t)| col[t * spatial + p])
+                .collect();
+            let want = PaddedRows::from_filters(&columns, g.in_channels, g.kernel);
+            // Dense rows, padded rows and rows with a long tail, over stale
+            // scratch: the tails must come out zero.
+            let mut padded = vec![-1i16; 3];
+            for stride in [len, len.div_ceil(16) * 16, len.div_ceil(16) * 16 + 16] {
+                let mut rows = vec![-1i16; stride * spatial + ROW_SLACK];
+                im2row_into(&input, &g, &mut padded, &mut rows, stride);
+                for p in 0..spatial {
+                    let (taps, tail) = rows[p * stride..][..stride].split_at(len);
+                    assert_eq!(taps, &want.view().row(p)[..len], "{g:?} stride {stride} pixel {p}");
+                    assert!(tail.iter().all(|&v| v == 0), "{g:?} stride {stride} pixel {p}");
                 }
             }
         }

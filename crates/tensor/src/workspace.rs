@@ -2,15 +2,26 @@
 //!
 //! Every conv driver in this workspace lowers each image before its
 //! multiply-accumulates: the float conv to column matrices (im2col), the
-//! integer convs to pixel-major code rows (one contiguous `col_len` row per
-//! output pixel, [`im2row_into`]). Allocating those buffers per call
-//! dominated the hot path; a [`ConvWorkspace`] owns them and re-sizes them
-//! to the current [`ConvGeom`], so a long-lived engine lowers into the same
-//! memory pass after pass. The ODQ kernel also derives the high bit plane
-//! of the lowered codes in place — one lowering per (layer, image) feeds
-//! the predictor, the executor and both receptive-sum accumulators,
-//! mirroring the paper's accelerator where a single operand fetch drives
-//! every engine (Sec. 4).
+//! integer convs to pixel-major code rows ([`im2row_into`]). Allocating
+//! those buffers per call dominated the hot path; a [`ConvWorkspace`] owns
+//! them and re-sizes them to the current [`ConvGeom`], so a long-lived
+//! engine lowers into the same memory pass after pass.
+//!
+//! **Padded code rows.** An image lowers to one row per output pixel. Each
+//! row holds the pixel's `col_len` receptive-field codes, then zeros up to
+//! the [padded stride](crate::gemm::padded_stride) (`col_len` rounded up to
+//! 16), the layout every [`Kernel`](crate::gemm::Kernel) body reads. A layer
+//! plan stores its weight rows at the same stride, so a 256-bit body never
+//! needs a tail loop and the zero tails add nothing to any sum. One
+//! lowering per (layer, image) feeds the ODQ predictor (which shifts the
+//! high bit plane out of the full codes in-register), the executor and
+//! both receptive sums, mirroring the paper's accelerator where a single
+//! operand fetch drives every engine (Sec. 4).
+//!
+//! Beside the rows, a workspace keeps the zero-padded image the lowering
+//! copies from and a [`Scratch`] of per-image accumulators (products,
+//! receptive sums, estimates), so a steady-state integer conv allocates
+//! nothing per image.
 //!
 //! A [`WorkspacePool`] hands workspaces to batch-parallel drivers: each
 //! rayon task acquires one for the duration of an image and returns it, so
@@ -22,17 +33,37 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::im2col::{im2col_into, im2row_into};
+use crate::gemm::{padded_stride, Rows};
+use crate::im2col::{im2col_into, im2row_into, ROW_SLACK};
 use crate::shape::ConvGeom;
 
-/// Scratch buffers for one in-flight image: the float column matrix, plus
-/// the pixel-major code rows and their high bit plane.
+/// Scratch buffers for one in-flight image: the float column matrix, the
+/// padded code rows with the zero-padded image they are copied from, and
+/// the per-image accumulators.
 #[derive(Default)]
 pub struct ConvWorkspace {
     col_f: Vec<f32>,
-    rows_i: Vec<i16>,
-    rows_hi: Vec<i16>,
+    padded: Vec<i16>,
+    rows: Vec<i16>,
+    scratch: Scratch,
     lowerings: u64,
+}
+
+/// Per-image accumulators a kernel fills beside the lowered rows. They keep
+/// their capacity across images and layers; a kernel resizes each one it
+/// uses and overwrites every element it reads.
+#[derive(Default)]
+pub struct Scratch {
+    /// Integer products, filter-major `[filters, pixels]`.
+    pub products: Vec<i32>,
+    /// Receptive sums `Σ a` per pixel.
+    pub sums: Vec<i32>,
+    /// High-plane receptive sums `Σ a_H` per pixel.
+    pub high_sums: Vec<i32>,
+    /// Per-pixel `f32` terms hoisted out of a per-output expression.
+    pub pixel_terms: Vec<f32>,
+    /// Per-output `f32` values, filter-major `[filters, pixels]`.
+    pub values: Vec<f32>,
 }
 
 impl ConvWorkspace {
@@ -50,33 +81,16 @@ impl ConvWorkspace {
         &self.col_f
     }
 
-    /// Lower an integer-code image pixel-major ([`im2row_into`]: one
-    /// contiguous `col_len` row per output pixel) into the reused buffer.
-    pub fn lower_i16_rows(&mut self, input: &[i16], g: &ConvGeom) -> &[i16] {
-        self.rows_i.resize(g.col_len() * g.out_spatial(), 0);
-        im2row_into(input, g, &mut self.rows_i);
+    /// Lower an integer-code image into padded pixel-major rows
+    /// ([`im2row_into`] at [`padded_stride`]`(col_len)`), and hand out the
+    /// per-image [`Scratch`] beside them.
+    pub fn lower_i16_rows(&mut self, input: &[i16], g: &ConvGeom) -> (Rows<'_>, &mut Scratch) {
+        let stride = padded_stride(g.col_len());
+        let len = stride * g.out_spatial();
+        self.rows.resize(len + ROW_SLACK, 0);
+        im2row_into(input, g, &mut self.padded, &mut self.rows, stride);
         self.lowerings += 1;
-        &self.rows_i
-    }
-
-    /// [`lower_i16_rows`](Self::lower_i16_rows), then derive the high bit
-    /// plane of every tap, `c >> low_bits` (arithmetic).
-    ///
-    /// Exact: zero-padded taps shift to 0, so the high rows equal what
-    /// lowering a pre-split high-plane tensor would produce. Returns
-    /// `(codes, high)` row matrices; only one lowering is counted.
-    pub fn lower_i16_planes(
-        &mut self,
-        input: &[i16],
-        g: &ConvGeom,
-        low_bits: u8,
-    ) -> (&[i16], &[i16]) {
-        self.lower_i16_rows(input, g);
-        self.rows_hi.resize(self.rows_i.len(), 0);
-        for (h, &c) in self.rows_hi.iter_mut().zip(&self.rows_i) {
-            *h = c >> low_bits;
-        }
-        (&self.rows_i, &self.rows_hi)
+        (Rows::new(&self.rows[..len], stride), &mut self.scratch)
     }
 
     /// Lowerings performed since construction or the last take.
@@ -135,6 +149,7 @@ impl WorkspacePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::PaddedRows;
     use crate::im2col::im2col;
 
     #[test]
@@ -149,19 +164,27 @@ mod tests {
     }
 
     #[test]
-    fn high_rows_match_splitting_before_lowering() {
-        let g = ConvGeom::new(2, 2, 4, 4, 3, 1, 1);
-        let input: Vec<i16> = (0..2 * 16).map(|i| (i as i16 % 31) - 15).collect();
+    fn code_rows_are_padded_with_zero_tails_across_geometries() {
+        // A wide geometry, then a narrow one through the same workspace:
+        // the second lowering's tails must not keep the first one's codes.
         let mut ws = ConvWorkspace::new();
-        let (codes, hi) = ws.lower_i16_planes(&input, &g, 2);
-
-        let pre_hi: Vec<i16> = input.iter().map(|&c| c >> 2).collect();
-        let mut expect = vec![0i16; codes.len()];
-        im2row_into(&input, &g, &mut expect);
-        assert_eq!(codes, expect.as_slice());
-        im2row_into(&pre_hi, &g, &mut expect);
-        assert_eq!(hi, expect.as_slice());
-        assert_eq!(ws.lowerings(), 1, "plane derivation must not count as a lowering");
+        for g in [ConvGeom::new(3, 1, 5, 5, 3, 1, 1), ConvGeom::new(2, 1, 4, 4, 3, 2, 1)] {
+            let input: Vec<i16> =
+                (0..g.in_channels * g.in_h * g.in_w).map(|i| i as i16 + 1).collect();
+            let col = crate::im2col::im2col(&input, &g);
+            let (len, spatial) = (g.col_len(), g.out_spatial());
+            let columns: Vec<i16> = (0..spatial)
+                .flat_map(|p| (0..len).map(move |t| (p, t)))
+                .map(|(p, t)| col[t * spatial + p])
+                .collect();
+            let want = PaddedRows::from_filters(&columns, g.in_channels, g.kernel);
+            let (rows, _) = ws.lower_i16_rows(&input, &g);
+            assert_eq!((rows.count(), rows.stride()), (spatial, padded_stride(len)));
+            for p in 0..spatial {
+                assert_eq!(rows.row(p), want.view().row(p), "{g:?} pixel {p}");
+            }
+        }
+        assert_eq!(ws.lowerings(), 2);
     }
 
     #[test]
@@ -171,7 +194,7 @@ mod tests {
         let input = vec![1i16; 9];
         for _ in 0..3 {
             pool.with(|ws| {
-                let _ = ws.lower_i16_rows(&input, &g);
+                ws.lower_i16_rows(&input, &g);
             });
         }
         assert_eq!(pool.lowerings(), 3);
